@@ -53,8 +53,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--depth", type=int, default=2, metavar="D",
                         help="call inlining depth (default 2)")
     parser.add_argument("--timeout", type=float, default=10.0, metavar="S",
-                        help="per-path exploration budget in seconds "
-                             "(default 10)")
+                        help="exploration limit per function: a wall-clock "
+                             "deadline for all of its paths together, plus "
+                             "an instruction budget of 2,000,000 steps per "
+                             "second that each forked path inherits from "
+                             "its parent (default 10)")
     parser.add_argument("--format", choices=("json", "text", "dot"),
                         default="json", help="output format (default json)")
     parser.add_argument("--out", metavar="PATH",

@@ -2,13 +2,24 @@
 function symbols from .symtab.
 
 Only what the analysis front end needs; no relocation, no dynamic
-linking.  Anything structurally off raises ElfError.
+linking.  Anything structurally off raises ElfError: a header, segment
+or symbol table that lies outside the file, a segment whose file size
+exceeds its memory size, or loadable segments spanning more than
+MAX_IMAGE_SPAN bytes from the lowest to the highest address.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+
+# The flat image is allocated in one piece, so its size is capped
+# before anything is allocated: 256 MiB.
+MAX_IMAGE_SPAN = 1 << 28
+
+_PROGRAM_HEADER = struct.Struct("<IIIIII")
+_SECTION_HEADER = struct.Struct("<10I")
+_SYMBOL = struct.Struct("<IIIBBH")
 
 
 class ElfError(Exception):
@@ -27,6 +38,13 @@ def load_flat(data: bytes, base: int) -> LoadedImage:
     return LoadedImage(bytes(data), base)
 
 
+def _unpack(record: struct.Struct, data: bytes, offset: int,
+            what: str) -> tuple:
+    if offset + record.size > len(data):
+        raise ElfError(f"{what} outside file")
+    return record.unpack_from(data, offset)
+
+
 def load_elf(data: bytes) -> LoadedImage:
     if len(data) < 52 or data[:4] != b"\x7fELF":
         raise ElfError("not an ELF file")
@@ -40,9 +58,9 @@ def load_elf(data: bytes) -> LoadedImage:
 
     segments = []
     for i in range(e_phnum):
-        off = e_phoff + i * e_phentsize
         (p_type, p_offset, p_vaddr, _p_paddr, p_filesz,
-         p_memsz) = struct.unpack_from("<IIIIII", data, off)
+         p_memsz) = _unpack(_PROGRAM_HEADER, data,
+                            e_phoff + i * e_phentsize, "program header")
         if p_type == 1 and p_memsz:                 # PT_LOAD
             segments.append((p_vaddr, p_offset, p_filesz, p_memsz))
     if not segments:
@@ -50,10 +68,16 @@ def load_elf(data: bytes) -> LoadedImage:
 
     base = min(s[0] for s in segments)
     top = max(s[0] + s[3] for s in segments)
-    image = bytearray(top - base)
-    for vaddr, offset, filesz, _memsz in segments:
+    if top - base > MAX_IMAGE_SPAN:
+        raise ElfError(f"loadable segments span {top - base:#x} bytes, "
+                       f"limit {MAX_IMAGE_SPAN:#x}")
+    for _vaddr, offset, filesz, memsz in segments:
         if offset + filesz > len(data):
             raise ElfError("segment outside file")
+        if filesz > memsz:
+            raise ElfError("segment file size exceeds its memory size")
+    image = bytearray(top - base)
+    for vaddr, offset, filesz, _memsz in segments:
         image[vaddr - base:vaddr - base + filesz] = \
             data[offset:offset + filesz]
 
@@ -66,12 +90,10 @@ def _read_symbols(data: bytes, e_shoff: int, e_shentsize: int,
                   e_shnum: int, loaded: LoadedImage) -> None:
     sections = []
     for i in range(e_shnum):
-        off = e_shoff + i * e_shentsize
-        if off + 40 > len(data):
-            return
         (_name, sh_type, _flags, _addr, sh_offset, sh_size, sh_link,
-         _info, _align, sh_entsize) = struct.unpack_from("<10I", data,
-                                                         off)
+         _info, _align, sh_entsize) = _unpack(
+            _SECTION_HEADER, data, e_shoff + i * e_shentsize,
+            "section header")
         sections.append((sh_type, sh_offset, sh_size, sh_link,
                          sh_entsize))
     for sh_type, sh_offset, sh_size, sh_link, sh_entsize in sections:
@@ -79,13 +101,14 @@ def _read_symbols(data: bytes, e_shoff: int, e_shentsize: int,
             continue
         if not (0 <= sh_link < len(sections)):
             continue
+        if sh_entsize < _SYMBOL.size:
+            raise ElfError("symbol table entries too small")
         str_off, str_size = sections[sh_link][1], sections[sh_link][2]
         strtab = data[str_off:str_off + str_size]
-        count = sh_size // max(sh_entsize, 16)
-        for i in range(count):
-            off = sh_offset + i * sh_entsize
+        for i in range(sh_size // sh_entsize):
             (st_name, st_value, _size, st_info, _other,
-             st_shndx) = struct.unpack_from("<IIIBBH", data, off)
+             st_shndx) = _unpack(_SYMBOL, data, sh_offset + i * sh_entsize,
+                                 "symbol")
             if st_shndx == 0 or st_name >= len(strtab):
                 continue
             end = strtab.find(b"\0", st_name)

@@ -17,8 +17,8 @@ from .dfg import COMMUTATIVE, Dfg, Node, NodeKind, NodeRef
 from .sigdsl import SignatureGraph
 
 __all__ = [
-    "Mapping", "BlockPermReport", "SizeLimitError", "match_signature",
-    "brute_force_match", "classify_block_permutation",
+    "Mapping", "BlockPermReport", "SizeLimitError", "TargetIndex",
+    "match_signature", "brute_force_match", "classify_block_permutation",
 ]
 
 
@@ -51,6 +51,11 @@ def _node_tag_ok(s: Node, t: Node) -> bool:
     return True
 
 
+def _ordered(node: Node) -> bool:
+    """Whether the node's operands correspond by position."""
+    return node.kind is not NodeKind.OPAQUE and node.kind not in COMMUTATIVE
+
+
 def _subset_arity(sig: SignatureGraph, ref: NodeRef, node: Node) -> bool:
     """True when the node may match a wider target node: wildcards
     always, commutative operations only when the statement that built
@@ -63,7 +68,7 @@ def _subset_arity(sig: SignatureGraph, ref: NodeRef, node: Node) -> bool:
 def _inputs_ok(sig: SignatureGraph, s_ref: NodeRef, s: Node, t: Node,
                m: dict[NodeRef, NodeRef]) -> bool:
     mapped = [m[i] for i in s.inputs]
-    if s.kind is NodeKind.OPAQUE or s.kind in COMMUTATIVE:
+    if not _ordered(s):
         want = Counter(mapped)
         have = Counter(t.inputs)
         if any(have[r] < c for r, c in want.items()):
@@ -157,148 +162,206 @@ def brute_force_match(sig: SignatureGraph,
 # ----------------------------------------------- production matcher
 
 
-def _initial_candidates(sig: SignatureGraph,
-                        target: Dfg) -> dict[NodeRef, set[NodeRef]]:
-    cands: dict[NodeRef, set[NodeRef]] = {}
-    for s_ref, s in sig.graph.nodes.items():
-        allowed: set[NodeRef] = set()
-        subset = _subset_arity(sig, s_ref, s)
-        for t_ref, t in target.nodes.items():
-            if not _node_tag_ok(s, t):
-                continue
+def _tag(node: Node) -> tuple:
+    """The part of a node `_node_tag_ok` compares, as a bucket key."""
+    return (node.kind,
+            node.const_value if node.kind is NodeKind.CONST else None,
+            node.symbol if node.kind is NodeKind.INPUT else None)
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of `mask`, ascending."""
+    if mask.bit_count() * 6 > mask.bit_length():
+        # dense: one pass over the binary digits beats peeling bits
+        return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+class TargetIndex:
+    """Tables over one target graph, built once and shared by every
+    signature variant matched into it.
+
+    Target nodes are numbered densely in ascending ref order, and a set
+    of them is a Python int whose bit i stands for `refs[i]`.  Per node
+    i, `args[i]` holds its operands and `users[i]` its consumers;
+    `args_at(pos)[i]` and `users_at(pos)[i]` restrict both to operand
+    position `pos`.  The graph must not change while the index is in
+    use.
+    """
+
+    def __init__(self, target: Dfg):
+        self.target = target
+        self.refs = sorted(target.nodes)
+        bit = {ref: i for i, ref in enumerate(self.refs)}
+        self._operands = [tuple(bit[r] for r in target.nodes[ref].inputs)
+                          for ref in self.refs]
+        self.args: list[int] = []
+        self.users = [0] * len(self.refs)
+        self._buckets: dict[tuple, int] = {}
+        self._arity: dict[int, int] = {}
+        for i, ref in enumerate(self.refs):
+            one = 1 << i
+            mask = 0
+            for j in self._operands[i]:
+                mask |= 1 << j
+                self.users[j] |= one
+            self.args.append(mask)
+            key = _tag(target.nodes[ref])
+            self._buckets[key] = self._buckets.get(key, 0) | one
+            arity = len(self._operands[i])
+            self._arity[arity] = self._arity.get(arity, 0) | one
+        self._args_at: dict[int, list[int]] = {}
+        self._users_at: dict[int, list[int]] = {}
+        self._domains: dict[tuple, int] = {}
+
+    def args_at(self, pos: int) -> list[int]:
+        table = self._args_at.get(pos)
+        if table is None:
+            table = [1 << ops[pos] if pos < len(ops) else 0
+                     for ops in self._operands]
+            self._args_at[pos] = table
+        return table
+
+    def users_at(self, pos: int) -> list[int]:
+        table = self._users_at.get(pos)
+        if table is None:
+            table = [0] * len(self.refs)
+            for i, ops in enumerate(self._operands):
+                if pos < len(ops):
+                    table[ops[pos]] |= 1 << i
+            self._users_at[pos] = table
+        return table
+
+    def domain(self, s: Node, subset: bool) -> int:
+        """Target nodes passing the tag and arity conjuncts of the
+        predicate for signature node `s`."""
+        arity = len(s.inputs)
+        key = _tag(s) + (subset, arity)
+        found = self._domains.get(key)
+        if found is None:
             if subset:
-                if len(t.inputs) < len(s.inputs):
-                    continue
-            elif len(t.inputs) != len(s.inputs):
-                continue
-            allowed.add(t_ref)
-        cands[s_ref] = allowed
+                shape = 0
+                for n, mask in self._arity.items():
+                    if n >= arity:
+                        shape |= mask
+            else:
+                shape = self._arity.get(arity, 0)
+            if s.kind is not NodeKind.OPAQUE:
+                shape &= self._buckets.get(key[:3], 0)
+            found = self._domains[key] = shape
+        return found
+
+
+# Per signature node, one (neighbor, own, theirs) per edge: target t
+# stays a candidate only while own[t] meets the neighbor's domain, and
+# a neighbor candidate u supports exactly the targets in theirs[u].
+_Links = dict[NodeRef, list[tuple[NodeRef, list[int], list[int]]]]
+
+
+def _links(sig: SignatureGraph, index: TargetIndex) -> _Links:
+    links: _Links = {r: [] for r in sig.graph.nodes}
+    for c_ref, c in sig.graph.nodes.items():
+        ordered = _ordered(c)
+        for pos, a in enumerate(c.inputs):
+            if ordered:
+                down, up = index.args_at(pos), index.users_at(pos)
+            else:
+                down, up = index.args, index.users
+            links[c_ref].append((a, down, up))
+            links[a].append((c_ref, up, down))
+    return links
+
+
+def _initial_candidates(sig: SignatureGraph,
+                        index: TargetIndex) -> Optional[dict[NodeRef, int]]:
+    """Candidate domains from the tag and arity conjuncts alone, or
+    None as soon as one of them is empty."""
+    cands: dict[NodeRef, int] = {}
+    for s_ref, s in sig.graph.nodes.items():
+        cands[s_ref] = index.domain(s, _subset_arity(sig, s_ref, s))
+        if not cands[s_ref]:
+            return None
     return cands
 
 
-def _refine(sig: SignatureGraph, target: Dfg,
-            cands: dict[NodeRef, set[NodeRef]]) -> bool:
+def _refine(links: _Links, cands: dict[NodeRef, int]) -> bool:
     """Iterated Ullmann refinement: a candidate survives only while
     every signature neighbor still has a compatible candidate adjacent
     to it.  Returns False if some signature node runs out.
 
-    Runs as a worklist: when a candidate set shrinks, only the nodes
-    whose support could depend on it are re-examined."""
-    sig_uses: dict[NodeRef, list[tuple[NodeRef, int]]] = {
-        r: [] for r in sig.graph.nodes}
-    for c_ref, c in sig.graph.nodes.items():
-        for pos, i in enumerate(c.inputs):
-            sig_uses[i].append((c_ref, pos))
-
-    plain_uses: dict[NodeRef, frozenset[NodeRef]] = {}
-    uses_at: dict[tuple[NodeRef, int], set[NodeRef]] = {}
-    for t_ref, t in target.nodes.items():
-        for pos, i in enumerate(t.inputs):
-            uses_at.setdefault((i, pos), set()).add(t_ref)
-    for t_ref in target.nodes:
-        plain_uses[t_ref] = frozenset(target.uses.get(t_ref, ()))
-
-    def survives(s_ref: NodeRef, t_ref: NodeRef) -> bool:
-        s = sig.graph.node(s_ref)
-        t = target.node(t_ref)
-        ordered = (s.kind is not NodeKind.OPAQUE
-                   and s.kind not in COMMUTATIVE)
-        for pos, a in enumerate(s.inputs):
-            if ordered:
-                if t.inputs[pos] not in cands[a]:
-                    return False
-            elif cands[a].isdisjoint(t.inputs):
-                return False
-        for c_ref, pos in sig_uses[s_ref]:
-            c = sig.graph.node(c_ref)
-            c_ordered = (c.kind is not NodeKind.OPAQUE
-                         and c.kind not in COMMUTATIVE)
-            if c_ordered:
-                pool = uses_at.get((t_ref, pos))
+    Runs as a first-in first-out worklist: when a candidate set
+    shrinks, only the nodes whose support could depend on it are
+    re-examined.  Each neighbor constraint is applied by walking
+    whichever of the two domains is smaller; the survival test is
+    monotone, so the fixed point is the same either way."""
+    queue = deque(sorted(cands))
+    queued = set(queue)
+    while queue:
+        s_ref = queue.popleft()
+        queued.discard(s_ref)
+        dom = cands[s_ref]
+        size = dom.bit_count()
+        for nbr, own, theirs in links[s_ref]:
+            other = cands[nbr]
+            if other.bit_count() < size:
+                support = 0
+                for u in _bits(other):
+                    support |= theirs[u]
+                dom &= support
             else:
-                pool = plain_uses[t_ref]
-            if not pool or pool.isdisjoint(cands[c_ref]):
+                for t in _bits(dom):
+                    if not own[t] & other:
+                        dom ^= 1 << t
+            if not dom:
                 return False
-        return True
-
-    pending: set[NodeRef] = set(sig.graph.nodes)
-    while pending:
-        s_ref = pending.pop()
-        doomed = [t_ref for t_ref in cands[s_ref]
-                  if not survives(s_ref, t_ref)]
-        if doomed:
-            cands[s_ref].difference_update(doomed)
-            if not cands[s_ref]:
-                return False
-            pending.update(sig.graph.node(s_ref).inputs)
-            pending.update(c_ref for c_ref, _ in sig_uses[s_ref])
+            size = dom.bit_count()
+        if dom != cands[s_ref]:
+            cands[s_ref] = dom
+            for nbr, _, _ in links[s_ref]:
+                if nbr not in queued:
+                    queued.add(nbr)
+                    queue.append(nbr)
     return True
 
 
-def _search(sig: SignatureGraph, target: Dfg,
-            cands: dict[NodeRef, set[NodeRef]],
-            limit: int) -> Iterator[Mapping]:
+def _search(sig: SignatureGraph, index: TargetIndex, links: _Links,
+            cands: dict[NodeRef, int], limit: int) -> Iterator[Mapping]:
     """Backtracking over dynamically maintained domains.  Assigning a
     node immediately prunes the domains of its unassigned neighbors
     (and removes the chosen target from every other domain), so the
     most-constrained node is always picked next; a shared wildcard is
     collapsed as soon as the first structure around it is placed
-    instead of being guessed at the end."""
+    instead of being guessed at the end.
+
+    Domains hold dense target numbers, which sort like the refs they
+    stand for."""
     sig_nodes = sorted(sig.graph.nodes)
-    sig_uses: dict[NodeRef, list[tuple[NodeRef, int]]] = {
-        r: [] for r in sig_nodes}
-    for c_ref, c in sig.graph.nodes.items():
-        for pos, i in enumerate(c.inputs):
-            sig_uses[i].append((c_ref, pos))
-
-    uses_at: dict[tuple[NodeRef, int], frozenset[NodeRef]] = {}
-    scratch: dict[tuple[NodeRef, int], set[NodeRef]] = {}
-    for t_ref, t in target.nodes.items():
-        for pos, i in enumerate(t.inputs):
-            scratch.setdefault((i, pos), set()).add(t_ref)
-    uses_at = {k: frozenset(v) for k, v in scratch.items()}
-    plain_uses = {t_ref: frozenset(target.uses.get(t_ref, ()))
-                  for t_ref in target.nodes}
-    empty: frozenset[NodeRef] = frozenset()
-
-    dom: dict[NodeRef, set[NodeRef]] = {r: set(cands[r])
-                                        for r in sig_nodes}
-    m: dict[NodeRef, NodeRef] = {}
-    trail: list[list[tuple[NodeRef, set[NodeRef]]]] = []
+    dom: dict[NodeRef, set[int]] = {r: set(_bits(cands[r]))
+                                    for r in sig_nodes}
+    m: dict[NodeRef, int] = {}
+    trail: list[list[tuple[NodeRef, set[int]]]] = []
     found = 0
 
-    def prune(r: NodeRef, keep) -> bool:
-        removed = {v for v in dom[r] if v not in keep}
+    def prune(r: NodeRef, keep: int) -> bool:
+        removed = {v for v in dom[r] if not keep >> v & 1}
         if removed:
             dom[r] -= removed
             trail[-1].append((r, removed))
         return bool(dom[r])
 
-    def assign(s_ref: NodeRef, t_ref: NodeRef) -> bool:
-        s = sig.graph.node(s_ref)
-        t = target.node(t_ref)
-        ordered = (s.kind is not NodeKind.OPAQUE
-                   and s.kind not in COMMUTATIVE)
-        for pos, a in enumerate(s.inputs):
-            if a in m:
-                continue
-            keep = (t.inputs[pos],) if ordered else t.inputs
-            if not prune(a, keep):
-                return False
-        for c_ref, pos in sig_uses[s_ref]:
-            if c_ref in m:
-                continue
-            c = sig.graph.node(c_ref)
-            c_ordered = (c.kind is not NodeKind.OPAQUE
-                         and c.kind not in COMMUTATIVE)
-            pool = (uses_at.get((t_ref, pos), empty) if c_ordered
-                    else plain_uses[t_ref])
-            if not prune(c_ref, pool):
+    def assign(s_ref: NodeRef, t: int) -> bool:
+        for nbr, own, _ in links[s_ref]:
+            if nbr not in m and not prune(nbr, own[t]):
                 return False
         for r in sig_nodes:
-            if r is not s_ref and r not in m and t_ref in dom[r]:
-                dom[r].discard(t_ref)
-                trail[-1].append((r, {t_ref}))
+            if r is not s_ref and r not in m and t in dom[r]:
+                dom[r].discard(t)
+                trail[-1].append((r, {t}))
                 if not dom[r]:
                     return False
         return True
@@ -308,17 +371,18 @@ def _search(sig: SignatureGraph, target: Dfg,
         if found >= limit:
             return
         if len(m) == len(sig_nodes):
-            mapping = _assignment_ok(sig, target, m)
+            mapping = _assignment_ok(
+                sig, index.target,
+                {s: index.refs[t] for s, t in m.items()})
             if mapping is not None:
                 found += 1
                 yield mapping
             return
-        s_ref = min((r for r in sig_nodes if r not in m),
-                    key=lambda r: (len(dom[r]), r))
-        for t_ref in sorted(dom[s_ref]):
-            m[s_ref] = t_ref
+        _, s_ref = min((len(dom[r]), r) for r in sig_nodes if r not in m)
+        for t in sorted(dom[s_ref]):
+            m[s_ref] = t
             trail.append([])
-            if assign(s_ref, t_ref):
+            if assign(s_ref, t):
                 yield from step()
             for r, removed in trail.pop():
                 dom[r] |= removed
@@ -330,8 +394,16 @@ def _search(sig: SignatureGraph, target: Dfg,
 
 
 def match_signature(sig: SignatureGraph, target: Dfg,
-                    limit: int = 16) -> list[Mapping]:
+                    limit: int = 16,
+                    index: Optional[TargetIndex] = None) -> list[Mapping]:
     """Backtracking subgraph embedding with candidate refinement.
+
+    Candidate domains are int bitsets over `index`, a `TargetIndex` of
+    `target`; pass one to share its tables and cached initial domains
+    across the signatures matched into the same graph, or leave it out
+    to have one built for this call.  Refinement intersects those
+    domains with the index's neighbor masks, and the search then
+    backtracks over them in ascending target order.
 
     Returns up to `limit` mappings; an empty list means no embedding
     exists."""
@@ -339,12 +411,17 @@ def match_signature(sig: SignatureGraph, target: Dfg,
         raise ValueError("empty signature")
     if not target.nodes:
         return []
-    cands = _initial_candidates(sig, target)
-    if any(not c for c in cands.values()):
+    if index is None:
+        index = TargetIndex(target)
+    elif index.target is not target:
+        raise ValueError("index was built for another graph")
+    cands = _initial_candidates(sig, index)
+    if cands is None:
         return []
-    if not _refine(sig, target, cands):
+    links = _links(sig, index)
+    if not _refine(links, cands):
         return []
-    return list(_search(sig, target, cands, limit))
+    return list(_search(sig, index, links, cands, limit))
 
 
 # ------------------------------- chained compression classification

@@ -21,7 +21,8 @@ from importlib import metadata
 from typing import Optional, Union
 
 from .dfg import Dfg, NodeKind
-from .matcher import classify_block_permutation, match_signature
+from .matcher import (TargetIndex, classify_block_permutation,
+                      match_signature)
 from .sigdsl import SignatureDoc, SignatureGraph, build_variant
 from .siglib import load_catalog
 from .symexec import Config, explore
@@ -74,9 +75,12 @@ class AnalysisConfig:
     """Knobs for one batch run.
 
     ``n`` is the loop iteration target handed to the path oracle,
-    ``depth`` the call inlining budget, ``timeout`` the per-path
-    exploration allowance in seconds (mapped onto a deterministic
-    instruction budget by the executor).
+    ``depth`` the call inlining budget.  ``timeout`` limits the
+    exploration of one function in two ways: a wall-clock deadline of
+    that many seconds covers all of its paths together, and an
+    instruction budget of ``timeout`` x 2,000,000 steps (at least
+    10,000) starts at the entry and is copied to each forked path, so
+    every path counts its steps from the entry.
     """
 
     n: int = 4
@@ -200,30 +204,20 @@ def _build_corpus(corpus: dict[str, SignatureDoc]) -> BuiltCorpus:
     return built
 
 
-def _match_document(variants: list[tuple[str, SignatureGraph]],
-                    paths) -> tuple[list[bool], Optional[tuple]]:
-    """Scans every graph; returns per-graph hit flags and the first
-    embedding as (graph index, variant name, count, assignment, clamps).
-    """
-    hits = []
-    first = None
-    for index, path in enumerate(paths):
-        hit = False
-        for vname, sig in variants:
-            found = match_signature(sig, path.graph)
-            if found:
-                hit = True
-                if first is None:
-                    exemplar = found[0]
-                    assignment = tuple(sorted(
-                        (s, t) for s, t in exemplar.assignment.items()))
-                    clamps = tuple(sorted(
-                        (label, kind.name)
-                        for label, kind in exemplar.clamp_bindings.items()))
-                    first = (index, vname, len(found), assignment, clamps)
-                break
-        hits.append(hit)
-    return hits, first
+def _first_hit(variants: list[tuple[str, SignatureGraph]], graph: Dfg,
+               index: TargetIndex) -> Optional[tuple]:
+    """The first variant that embeds into `graph`, as (variant name,
+    count, assignment, clamps) of its first embedding, or None."""
+    for vname, sig in variants:
+        found = match_signature(sig, graph, index=index)
+        if found:
+            exemplar = found[0]
+            assignment = tuple(sorted(exemplar.assignment.items()))
+            clamps = tuple(sorted(
+                (label, kind.name)
+                for label, kind in exemplar.clamp_bindings.items()))
+            return vname, len(found), assignment, clamps
+    return None
 
 
 def _analyze_function(image: bytes, base: int, entry: int,
@@ -237,21 +231,34 @@ def _analyze_function(image: bytes, base: int, entry: int,
                               error=f"{type(exc).__name__}: {exc}",
                               elapsed=time.perf_counter() - start)
 
+    # graph by graph, so only one index is alive at a time
+    hits: dict[str, list[bool]] = {name: [] for name, _, _ in built}
+    first: dict[str, tuple] = {}
+    spent = dict.fromkeys(hits, 0.0)
+    for graph_index, path in enumerate(paths):
+        target_index = TargetIndex(path.graph)
+        for name, _, variants in built:
+            sig_start = time.perf_counter()
+            hit = _first_hit(variants, path.graph, target_index)
+            spent[name] += time.perf_counter() - sig_start
+            hits[name].append(hit is not None)
+            if hit is not None and name not in first:
+                first[name] = (graph_index,) + hit
+
     signatures = []
-    for name, identifier, variants in built:
-        sig_start = time.perf_counter()
-        hits, first = _match_document(variants, paths)
+    for name, identifier, _ in built:
+        exemplar = first.get(name)
         signatures.append(SignatureResult(
             name=name,
             identifier=identifier,
-            matched=any(hits),
-            graph_hits=tuple(hits),
-            graph_index=first[0] if first else None,
-            variant=first[1] if first else None,
-            mappings=first[2] if first else 0,
-            assignment=first[3] if first else (),
-            clamps=first[4] if first else (),
-            elapsed=time.perf_counter() - sig_start))
+            matched=exemplar is not None,
+            graph_hits=tuple(hits[name]),
+            graph_index=exemplar[0] if exemplar else None,
+            variant=exemplar[1] if exemplar else None,
+            mappings=exemplar[2] if exemplar else 0,
+            assignment=exemplar[3] if exemplar else (),
+            clamps=exemplar[4] if exemplar else (),
+            elapsed=spent[name]))
 
     records = []
     for index, path in enumerate(paths):

@@ -11,10 +11,11 @@ import pytest
 
 from helpers import random_signature, random_target
 from wherescrypto.asm import assemble
-from wherescrypto.dfg import Dfg, NodeKind, NodeSpec
+from wherescrypto.dfg import COMMUTATIVE, Dfg, NodeKind, NodeSpec
 from wherescrypto.matcher import (
     BlockPermReport,
     SizeLimitError,
+    TargetIndex,
     brute_force_match,
     classify_block_permutation,
     match_signature,
@@ -220,6 +221,48 @@ def test_matcher_agrees_with_oracle_battery():
             clamped += 1
     assert positives >= 30
     assert clamped >= 40
+
+
+def test_shared_index_agrees_with_oracle_battery():
+    # one index per target, reused by several signatures in turn: each
+    # result must equal the oracle's and that of a call building its
+    # own index, so nothing leaks from one signature to the next.  The
+    # strict and loose copies differ only in which commutative nodes
+    # may match wider targets, as variants of one document do.
+    rng = random.Random(20261018)
+    positives = 0
+    for case in range(60):
+        first = random_signature(rng)
+        target = random_target(rng, first)
+        index = TargetIndex(target)
+        commutative = {r for r, n in first.graph.nodes.items()
+                       if n.kind in COMMUTATIVE}
+        strict = SignatureGraph(first.graph, first.clamp_labels, set())
+        loose = SignatureGraph(first.graph, first.clamp_labels,
+                               commutative)
+        sigs = [first, strict, loose, strict,
+                random_signature(rng), random_signature(rng)]
+        for sig in sigs:
+            expected = keys(brute_force_match(sig, target))
+            shared = match_signature(sig, target, limit=1_000_000,
+                                     index=index)
+            alone = match_signature(sig, target, limit=1_000_000)
+            assert keys(shared) == expected, f"case {case}"
+            assert [m.assignment for m in shared] == \
+                [m.assignment for m in alone], f"case {case}"
+            if expected:
+                positives += 1
+    assert positives >= 40
+
+
+def test_index_of_another_graph_is_rejected():
+    sig = dsl("x: OPAQUE;")
+    target = Dfg()
+    target.request_input("R0")
+    other = Dfg()
+    other.request_input("R0")
+    with pytest.raises(ValueError):
+        match_signature(sig, target, index=TargetIndex(other))
 
 
 # ------------------------------------------------ end-to-end matches

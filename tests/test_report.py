@@ -16,6 +16,7 @@ from wherescrypto.report import (
     load_entries,
     parse_report,
 )
+from wherescrypto.asm import assemble
 from wherescrypto.siglib import load_builtin, load_catalog
 
 # A 4-round Galois-style LFSR with the feedback computed inline:
@@ -223,6 +224,43 @@ def test_block_permutation_confirmed(toolchain):
     assert record.anchor_symbol == "R0"
     assert record.path[-1] == ("rev", "LOAD")
     assert rep.totals["block_permutations_confirmed"] == 1
+
+
+# Two rounds of a Feistel ladder behind a branch; the flattened XOR
+# gives the depth-1 variant two embeddings, so which one the search
+# reaches first is visible in the report.
+LADDER = """\
+ladder:
+    cmp r2, #0
+    beq plain
+    add r1, r1, r2
+plain:
+    add r3, r1, #5
+    eor r0, r0, r3
+    eor r0, r0, r4
+    add r3, r0, r0, lsl #4
+    eor r1, r1, r3
+    add r3, r1, r1, lsr #5
+    eor r0, r0, r3
+    bx lr
+"""
+
+
+def test_exemplar_golden_without_toolchain():
+    report = analyze_binary(assemble(LADDER), 0, [0], AnalysisConfig())
+    (fn,) = report.functions
+    assert fn.statuses == ("COMPLETE", "COMPLETE")
+    by_name = {s.name: s for s in fn.signatures}
+    feistel = by_name.pop("feistel")
+    assert feistel.graph_hits == (True, False)
+    assert (feistel.graph_index, feistel.variant) == (0, "depth-1")
+    assert feistel.mappings == 2
+    assert feistel.assignment == ((0, 1), (1, 0), (2, 18), (3, 20),
+                                  (4, 23), (5, 24))
+    assert feistel.clamps == ()
+    for s in by_name.values():
+        assert (s.matched, s.graph_hits, s.mappings) == \
+            (False, (False, False), 0)
 
 
 def test_poisoned_function_is_isolated(toolchain, nlfsr_corpus):
