@@ -52,13 +52,7 @@ class UnsupportedPcWrite(Exception):
         super().__init__(f"symbolic PC write at 0x{address:x}")
 
 
-def reg_name(index: int) -> str:
-    if index < 13:
-        return f"R{index}"
-    return ("SP", "LR", "PC")[index - 13]
-
-
-REG_NAMES = tuple(reg_name(i) for i in range(16))
+REG_NAMES = tuple([f"R{i}" for i in range(13)] + ["SP", "LR", "PC"])
 
 
 @dataclass(frozen=True)
@@ -66,7 +60,7 @@ class Reg:
     index: int
 
     def __str__(self) -> str:
-        return reg_name(self.index).lower()
+        return REG_NAMES[self.index].lower()
 
 
 @dataclass(frozen=True)
@@ -86,8 +80,8 @@ class ShiftedReg:
 
     def __str__(self) -> str:
         by = (f"#{self.amount}" if self.amount_reg is None
-              else reg_name(self.amount_reg).lower())
-        return f"{reg_name(self.reg).lower()}, {self.kind.lower()} {by}"
+              else REG_NAMES[self.amount_reg].lower())
+        return f"{REG_NAMES[self.reg].lower()}, {self.kind.lower()} {by}"
 
 
 @dataclass(frozen=True)
@@ -99,7 +93,7 @@ class Mem:
     writeback: bool
 
     def __str__(self) -> str:
-        b = reg_name(self.base).lower()
+        b = REG_NAMES[self.base].lower()
         sign = "" if self.add else "-"
         if self.offset is None:
             inner = f"[{b}]"
@@ -118,7 +112,7 @@ class RegList:
     writeback: bool
 
     def __str__(self) -> str:
-        return "{" + ", ".join(reg_name(r).lower() for r in self.regs) + "}"
+        return "{" + ", ".join(REG_NAMES[r].lower() for r in self.regs) + "}"
 
 
 @dataclass(frozen=True)
@@ -353,7 +347,7 @@ class StepOutcome:
 
     @staticmethod
     def fallthrough() -> "StepOutcome":
-        return StepOutcome(OutcomeKind.FALLTHROUGH)
+        return _FALLTHROUGH
 
     @staticmethod
     def jump(target: int) -> "StepOutcome":
@@ -373,6 +367,10 @@ class StepOutcome:
                     expect_true: bool) -> "StepOutcome":
         return StepOutcome(OutcomeKind.CONDITIONAL, condition=condition,
                            expect_true=expect_true)
+
+
+# outcomes are frozen, so every fall-through step shares one instance
+_FALLTHROUGH = StepOutcome(OutcomeKind.FALLTHROUGH)
 
 
 # condition code → (comparison operator, taken when the tuple is ...,
@@ -416,7 +414,7 @@ def step(state, ins: Instruction) -> StepOutcome:
 def _read_reg(state, index: int, ins: Instruction) -> NodeRef:
     if index == 15:
         return state.graph.request_constant(ins.address + 8)
-    return state.regs[reg_name(index)]
+    return state.regs[REG_NAMES[index]]
 
 
 def _pc_write(state, value: NodeRef, ins: Instruction) -> StepOutcome:
@@ -432,7 +430,7 @@ def _write_reg(state, index: int, value: NodeRef,
                ins: Instruction) -> Optional[StepOutcome]:
     if index == 15:
         return _pc_write(state, value, ins)
-    state.regs[reg_name(index)] = value
+    state.regs[REG_NAMES[index]] = value
     return None
 
 
@@ -518,7 +516,7 @@ def _mem_access(state, ins: Instruction, rd: Reg, mem: Mem,
     if mem.writeback:
         if mem.base == 15:
             raise UnsupportedPcWrite(ins.address)
-        state.regs[reg_name(mem.base)] = indexed
+        state.regs[REG_NAMES[mem.base]] = indexed
     if load:
         value = _load_value(state, addr, byte)
         return _write_reg(state, rd.index, value, ins)
@@ -544,12 +542,12 @@ def _block_transfer(state, ins: Instruction, rl: RegList,
             if r == 15:
                 pc_value = value
             else:
-                state.regs[reg_name(r)] = value
+                state.regs[REG_NAMES[r]] = value
         else:
             g.record_store(addr, _read_reg(state, r, ins))
     if rl.writeback:
         total = 4 * n if rl.mode in ("IA", "IB") else -4 * n
-        state.regs[reg_name(rl.base)] = _op(
+        state.regs[REG_NAMES[rl.base]] = _op(
             state, NodeKind.ADD, base, g.request_constant(total))
     if pc_value is not None:
         return _pc_write(state, pc_value, ins)

@@ -38,6 +38,13 @@ class NodeKind(Enum):
     CALL = "CALL"
     OPAQUE = "OPAQUE"
 
+    # Enum.__hash__ hashes the member name in Python code, and kinds are
+    # hashed on every cons-table key and rewrite-table lookup. Members
+    # are singletons compared by identity, so identity hashing agrees
+    # with equality; name hashes already vary with PYTHONHASHSEED, so no
+    # output can depend on the hash values.
+    __hash__ = object.__hash__
+
 
 #: Variadic, commutative operator kinds.  Inputs are kept sorted by id.
 COMMUTATIVE = frozenset(

@@ -369,10 +369,23 @@ class Explorer:
         self.image = image
         self.base = base
         self.config = config or Config()
+        self._decoded: dict[int, Instruction] = {}
+
+    def _decode(self, address: int) -> Instruction:
+        """Decode through a per-exploration memo.  The image is
+        immutable (stores only reach the graph's store map), so a
+        decoded word never goes stale.  Decode errors are not memoised:
+        they end their path, and re-raising a stored exception would
+        keep growing its traceback."""
+        ins = self._decoded.get(address)
+        if ins is None:
+            ins = arm.decode(self.image, address, self.base)
+            self._decoded[address] = ins
+        return ins
 
     def _decodable(self, address: int) -> bool:
         try:
-            arm.decode(self.image, address, self.base)
+            self._decode(address)
             return True
         except arm.DecodeError:
             return False
@@ -383,6 +396,7 @@ class Explorer:
         stack = [first]
         results: list[PathResult] = []
         deadline = time.monotonic() + config.timeout
+        self._decoded = {}
 
         while stack:
             state = stack.pop()
@@ -420,7 +434,7 @@ class Explorer:
             state.steps += 1
 
             try:
-                ins = arm.decode(self.image, state.pc, self.base)
+                ins = self._decode(state.pc)
             except arm.DecodeError as err:
                 state.flags.add(str(err))
                 return self._finish(state, Status.ABORTED)
@@ -446,7 +460,7 @@ class Explorer:
                         follow = (st, taken)
                     else:
                         self._after_conditional(st, ins, taken, stack,
-                                                results, deadline)
+                                                results)
                 st, taken = follow
                 cont = self._apply_conditional(st, ins, taken)
                 if cont is None:
@@ -461,8 +475,7 @@ class Explorer:
 
     def _after_conditional(self, st: ExecState, ins: Instruction,
                            taken: bool, stack: list[ExecState],
-                           results: list[PathResult],
-                           deadline: float) -> None:
+                           results: list[PathResult]) -> None:
         cont = self._apply_conditional(st, ins, taken)
         if cont is None:
             stack.append(st)

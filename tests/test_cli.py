@@ -1,13 +1,19 @@
 """Command line behavior: flags, exit codes, output plumbing."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from wherescrypto import cli
+from wherescrypto.asm import assemble, label_addresses
 from wherescrypto.cli import main
 from wherescrypto.siglib import builtin_names, signature_source
 
-from test_report import LFSR_INLINE
+from test_report import LEAF, LFSR_INLINE, MDTOY
 
 LFSR_C = """\
 unsigned lfsr(unsigned s) {
@@ -22,10 +28,10 @@ unsigned lfsr(unsigned s) {
 
 
 @pytest.fixture(scope="module")
-def workspace(toolchain, tmp_path_factory):
+def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     image = root / "lfsr.bin"
-    image.write_bytes(toolchain.assemble(LFSR_INLINE))
+    image.write_bytes(assemble(LFSR_INLINE))
     entries = root / "entries.txt"
     entries.write_text("0x0\n")
     return root, image, entries
@@ -67,6 +73,31 @@ def test_cli_runs_are_deterministic(workspace):
     first.pop("timestamp")
     second.pop("timestamp")
     assert json.dumps(first) == json.dumps(second)
+
+
+def test_report_independent_of_hash_seed(tmp_path):
+    # str hashes change with PYTHONHASHSEED, so a report that leaned on
+    # set or hash order would differ between these two runs
+    text = LFSR_INLINE + MDTOY + LEAF
+    image = tmp_path / "image.bin"
+    image.write_bytes(assemble(text))
+    entries = tmp_path / "entries.txt"
+    entries.write_text("".join(f"{addr:#x}\n" for addr in
+                               label_addresses(text).values()))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    bodies = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed{seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-m", "wherescrypto.cli",
+                        "--image", str(image), "--entries", str(entries),
+                        "--format", "json", "--out", str(out)],
+                       env=env, check=True)
+        data = json.loads(out.read_bytes())
+        data.pop("timestamp")
+        bodies.append(json.dumps(data, indent=2))
+    assert len(json.loads(bodies[0])["functions"]) == 3
+    assert bodies[0] == bodies[1]
 
 
 def test_dot_output(workspace):

@@ -16,7 +16,7 @@ from wherescrypto.report import (
     load_entries,
     parse_report,
 )
-from wherescrypto.asm import assemble
+from wherescrypto.asm import assemble, label_addresses
 from wherescrypto.siglib import load_builtin, load_catalog
 
 # A 4-round Galois-style LFSR with the feedback computed inline:
@@ -88,8 +88,8 @@ def nlfsr_corpus():
 
 
 @pytest.fixture(scope="module")
-def lfsr_image(toolchain):
-    return toolchain.assemble(LFSR_INLINE)
+def lfsr_image():
+    return assemble(LFSR_INLINE)
 
 
 def strip(fn):
@@ -190,17 +190,19 @@ def test_matched_is_disjunction_of_graph_hits(lfsr_image):
             assert sig.matched == any(sig.graph_hits)
 
 
-def test_totals_equal_function_aggregation(toolchain, nlfsr_corpus):
-    image = toolchain.assemble(LFSR_INLINE + LEAF)
-    rep = analyze_binary(image, 0, [0, 64], corpus=nlfsr_corpus)
+def test_totals_equal_function_aggregation(nlfsr_corpus):
+    text = LFSR_INLINE + LEAF
+    leaf_entry = label_addresses(text)["leaf"]
+    rep = analyze_binary(assemble(text), 0, [0, leaf_entry],
+                         corpus=nlfsr_corpus)
     assert rep.totals == compute_totals(rep.functions)
     assert rep.totals["functions"] == 2
     assert rep.totals["matched_functions"] == 1
     assert rep.totals["errors"] == 0
 
 
-def test_callee_round_needs_inlining(toolchain, nlfsr_corpus):
-    image = toolchain.assemble(LFSR_CALLEE)
+def test_callee_round_needs_inlining(nlfsr_corpus):
+    image = assemble(LFSR_CALLEE)
 
     def matched(depth):
         config = AnalysisConfig(depth=depth)
@@ -212,8 +214,8 @@ def test_callee_round_needs_inlining(toolchain, nlfsr_corpus):
     assert matched(2)
 
 
-def test_block_permutation_confirmed(toolchain):
-    image = toolchain.assemble(MDTOY)
+def test_block_permutation_confirmed():
+    image = assemble(MDTOY)
     rep = analyze_binary(image, 0, [0], corpus={})
     fn = rep.functions[0]
     assert fn.signatures == ()
@@ -263,11 +265,12 @@ def test_exemplar_golden_without_toolchain():
             (False, (False, False), 0)
 
 
-def test_poisoned_function_is_isolated(toolchain, nlfsr_corpus):
+def test_poisoned_function_is_isolated(nlfsr_corpus):
     text = LFSR_INLINE + LEAF + "poison:\n    .word 0xffffffff\n"
-    image = toolchain.assemble(text)
-    leaf_entry = 64
-    poison_entry = 72
+    image = assemble(text)
+    labels = label_addresses(text)
+    leaf_entry = labels["leaf"]
+    poison_entry = labels["poison"]
     clean = analyze_binary(image, 0, [0, leaf_entry],
                            corpus=nlfsr_corpus)
     mixed = analyze_binary(image, 0, [0, poison_entry, leaf_entry],
@@ -341,8 +344,8 @@ def test_text_summary(lfsr_image, nlfsr_corpus):
     assert "totals:" in text
 
 
-def test_dot_counts_nodes_and_edges(toolchain):
-    image = toolchain.assemble("and r0, r0, #255\nbx lr\n")
+def test_dot_counts_nodes_and_edges():
+    image = assemble("and r0, r0, #255\nbx lr\n")
     rep = analyze_binary(image, 0, [0], corpus={})
     dot = emit_report(rep, "dot").decode()
     assert dot.count("digraph") == 1

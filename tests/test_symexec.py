@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from wherescrypto import arm
 from wherescrypto.asm import assemble
 from wherescrypto.dfg import Dfg, NodeKind
 from wherescrypto.symexec import (
@@ -298,6 +299,46 @@ def test_explore_counted_loop_yields_two_graphs():
     assert len(root.inputs) == 4
     kinds = sorted(g.node(i).kind.name for i in root.inputs)
     assert kinds == ["INPUT", "ROTATE", "ROTATE", "ROTATE"]
+
+
+def _count_decodes(monkeypatch) -> list[int]:
+    decoded: list[int] = []
+    original = arm.decode
+
+    def counting(image, address, base=0):
+        decoded.append(address)
+        return original(image, address, base)
+
+    monkeypatch.setattr(arm, "decode", counting)
+    return decoded
+
+
+def test_explore_decodes_each_address_once(monkeypatch):
+    decoded = _count_decodes(monkeypatch)
+    results = explore(0, assemble(LOOP_FIXTURE), Config(n=8, timeout=5))
+    assert len(results) == 2
+    assert len(decoded) == len(set(decoded)) == 9
+
+
+def test_explore_decode_memo_keeps_paths():
+    # the memo must not change what any path does or builds
+    results = explore(0, assemble(LOOP_FIXTURE), Config(n=8, timeout=5))
+    assert [(r.status, r.steps, sorted(r.flags), len(r.graph.nodes))
+            for r in results] == [(Status.COMPLETE, 5, [], 1),
+                                  (Status.COMPLETE, 53, [], 10)]
+
+
+def test_forked_paths_abort_on_same_undecodable_word(monkeypatch):
+    decoded = _count_decodes(monkeypatch)
+    image = assemble("cmp r0, #0\nbeq bad\nmov r1, #1\n"
+                     "bad:\n.word 0xffffffff")
+    results = explore(0, image, Config(timeout=2))
+    assert [r.status for r in results] == [Status.ABORTED] * 2
+    flags = [r.flags for r in results]
+    assert flags[0] == flags[1] == {
+        "undecodable at 0xc word=0xffffffff (unconditional space)"}
+    # failures are not memoised: each path decodes the bad word itself
+    assert decoded.count(0xc) == 2
 
 
 def test_explore_diamond_makes_two_paths():
