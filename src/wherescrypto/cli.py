@@ -13,7 +13,7 @@ from pathlib import Path
 from .elf import ElfError, load_elf
 from .report import (AnalysisConfig, MalformedLineError, UnknownFormatError,
                      analyze_binary, emit_report, load_entries)
-from .sigdsl import ParseError
+from .sigdsl import ArityError, ParseError
 from .siglib import builtin_names, load_catalog, load_signature_dir, \
     signature_source
 
@@ -136,7 +136,8 @@ def main(argv=None) -> int:
             corpus = load_signature_dir(Path(args.signatures))
         else:
             corpus = load_catalog()
-    except (OSError, ElfError, MalformedLineError, ParseError) as exc:
+    except (OSError, ElfError, MalformedLineError, ParseError, ArityError,
+            UnicodeDecodeError) as exc:
         return _fail_io(exc)
 
     report = analyze_binary(image, base, entries, config, corpus)

@@ -338,31 +338,30 @@ def _search(sig: SignatureGraph, index: TargetIndex, links: _Links,
     collapsed as soon as the first structure around it is placed
     instead of being guessed at the end.
 
-    Domains hold dense target numbers, which sort like the refs they
-    stand for."""
+    Domains are the int bitsets refinement leaves; candidates are tried
+    in ascending bit order, which is ascending ref order.  The trail
+    records each domain's value before a change, and backtracking
+    restores them in reverse."""
     sig_nodes = sorted(sig.graph.nodes)
-    dom: dict[NodeRef, set[int]] = {r: set(_bits(cands[r]))
-                                    for r in sig_nodes}
+    dom = dict(cands)
     m: dict[NodeRef, int] = {}
-    trail: list[list[tuple[NodeRef, set[int]]]] = []
+    trail: list[tuple[NodeRef, int]] = []
     found = 0
 
-    def prune(r: NodeRef, keep: int) -> bool:
-        removed = {v for v in dom[r] if not keep >> v & 1}
-        if removed:
-            dom[r] -= removed
-            trail[-1].append((r, removed))
-        return bool(dom[r])
+    def narrow(r: NodeRef, new: int) -> bool:
+        if new != dom[r]:
+            trail.append((r, dom[r]))
+            dom[r] = new
+        return bool(new)
 
     def assign(s_ref: NodeRef, t: int) -> bool:
         for nbr, own, _ in links[s_ref]:
-            if nbr not in m and not prune(nbr, own[t]):
+            if nbr not in m and not narrow(nbr, dom[nbr] & own[t]):
                 return False
+        bit = 1 << t
         for r in sig_nodes:
-            if r is not s_ref and r not in m and t in dom[r]:
-                dom[r].discard(t)
-                trail[-1].append((r, {t}))
-                if not dom[r]:
+            if r != s_ref and r not in m and dom[r] & bit:
+                if not narrow(r, dom[r] ^ bit):
                     return False
         return True
 
@@ -378,14 +377,16 @@ def _search(sig: SignatureGraph, index: TargetIndex, links: _Links,
                 found += 1
                 yield mapping
             return
-        _, s_ref = min((len(dom[r]), r) for r in sig_nodes if r not in m)
-        for t in sorted(dom[s_ref]):
+        _, s_ref = min((dom[r].bit_count(), r)
+                       for r in sig_nodes if r not in m)
+        for t in _bits(dom[s_ref]):
             m[s_ref] = t
-            trail.append([])
+            mark = len(trail)
             if assign(s_ref, t):
                 yield from step()
-            for r, removed in trail.pop():
-                dom[r] |= removed
+            while len(trail) > mark:
+                r, old = trail.pop()
+                dom[r] = old
             del m[s_ref]
             if found >= limit:
                 return

@@ -9,16 +9,22 @@ The JSON layout keeps every wall-clock figure inside the single
 top-level "timestamp" object.  Everything outside it is a pure function
 of the inputs and the configuration, so two runs over the same corpus
 can be compared byte for byte after dropping that one key.
+
+The body is derived from the result dataclasses: each field is emitted
+under its own name, in declaration order, with tuples as lists.  A
+field declared with ``compare=False`` is not in the body: those are the
+machine-dependent timings, which go under "timestamp", and the live
+graphs, which only DOT emission reads.  There is no JSON reader.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from importlib import metadata
-from typing import Optional, Union
+from typing import Optional
 
 from .dfg import Dfg, NodeKind
 from .matcher import (TargetIndex, classify_block_permutation,
@@ -39,7 +45,6 @@ __all__ = [
     "compute_totals",
     "emit_report",
     "load_entries",
-    "parse_report",
     "report_to_dict",
     "tool_version",
 ]
@@ -71,38 +76,19 @@ def tool_version() -> str:
 
 
 @dataclass(frozen=True)
-class AnalysisConfig:
-    """Knobs for one batch run.
+class AnalysisConfig(Config):
+    """Knobs for one batch run: the exploration settings of
+    `symexec.Config` (its instruction budget is ``timeout`` x
+    `symexec.STEPS_PER_SECOND` steps per path), plus where the
+    signatures came from and the output format."""
 
-    ``n`` is the loop iteration target handed to the path oracle,
-    ``depth`` the call inlining budget.  ``timeout`` limits the
-    exploration of one function in two ways: a wall-clock deadline of
-    that many seconds covers all of its paths together, and an
-    instruction budget of ``timeout`` x 2,000,000 steps (at least
-    10,000) starts at the entry and is copied to each forked path, so
-    every path counts its steps from the entry.
-    """
-
-    n: int = 4
-    depth: int = 2
-    timeout: float = 10.0
-    fork_cap: int = 64
     signature_paths: tuple[str, ...] = ()
     output_format: str = "json"
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.depth < 0:
-            raise ValueError("depth must not be negative")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        super().__post_init__()
         if self.output_format not in FORMATS:
             raise UnknownFormatError(self.output_format)
-
-    def symexec_config(self) -> Config:
-        return Config(n=self.n, depth=self.depth, timeout=self.timeout,
-                      fork_cap=self.fork_cap)
 
 
 @dataclass
@@ -142,14 +128,14 @@ class BlockPermRecord:
 
 @dataclass
 class FunctionResult:
-    entry: int
+    entry: int = field(metadata={"json": "0x{:x}".format})
     error: Optional[str] = None
     graphs: int = 0
     statuses: tuple[str, ...] = ()
     signatures: tuple[SignatureResult, ...] = ()
     block_permutation: tuple[BlockPermRecord, ...] = ()
     elapsed: float = field(default=0.0, compare=False)
-    # live graphs for DOT emission; absent after a JSON round trip
+    # live graphs for DOT emission
     dfgs: tuple[Dfg, ...] = field(default=(), compare=False, repr=False)
 
     @property
@@ -161,8 +147,8 @@ class FunctionResult:
 class AnalysisReport:
     version: str
     config: AnalysisConfig
-    functions: tuple[FunctionResult, ...]
     totals: dict[str, int]
+    functions: tuple[FunctionResult, ...]
     wall_time: float = field(default=0.0, compare=False)
     created: str = field(default="", compare=False)
 
@@ -225,7 +211,7 @@ def _analyze_function(image: bytes, base: int, entry: int,
                       built: BuiltCorpus) -> FunctionResult:
     start = time.perf_counter()
     try:
-        paths = explore(entry, image, config.symexec_config(), base=base)
+        paths = explore(entry, image, config, base=base)
     except Exception as exc:
         return FunctionResult(entry=entry,
                               error=f"{type(exc).__name__}: {exc}",
@@ -326,119 +312,34 @@ def load_entries(path) -> list[int]:
 # --- emission -----------------------------------------------------------
 
 
+def _body(value):
+    """The JSON form of a result: a dataclass becomes an object of its
+    ``compare=True`` fields in declaration order, a field's ``json``
+    metadata formats its value, and tuples become lists."""
+    if is_dataclass(value):
+        return {f.name: f.metadata.get("json", _body)(getattr(value, f.name))
+                for f in fields(value) if f.compare}
+    if isinstance(value, tuple):
+        return [_body(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _body(item) for key, item in value.items()}
+    return value
+
+
 def report_to_dict(report: AnalysisReport) -> dict:
-    functions = []
-    timing = []
-    for fn in report.functions:
-        signatures = [{
-            "name": s.name,
-            "identifier": s.identifier,
-            "matched": s.matched,
-            "graph_hits": list(s.graph_hits),
-            "graph_index": s.graph_index,
-            "variant": s.variant,
-            "mappings": s.mappings,
-            "assignment": [list(pair) for pair in s.assignment],
-            "clamps": [list(pair) for pair in s.clamps],
-        } for s in fn.signatures]
-        permutation = [{
-            "graph_index": r.graph_index,
-            "anchor": r.anchor,
-            "anchor_symbol": r.anchor_symbol,
-            "triple": list(r.triple),
-            "offsets": list(r.offsets),
-            "path": [list(step) for step in r.path],
-            "confirmed": r.confirmed,
-        } for r in fn.block_permutation]
-        functions.append({
-            "entry": f"0x{fn.entry:x}",
-            "error": fn.error,
-            "graphs": fn.graphs,
-            "statuses": list(fn.statuses),
-            "signatures": signatures,
-            "block_permutation": permutation,
-        })
-        timing.append({
-            "elapsed": fn.elapsed,
-            "signatures": {s.name: s.elapsed for s in fn.signatures},
-        })
     return {
         "schema": SCHEMA_VERSION,
         "tool": "wherescrypto",
-        "version": report.version,
-        "config": {
-            "n": report.config.n,
-            "depth": report.config.depth,
-            "timeout": report.config.timeout,
-            "fork_cap": report.config.fork_cap,
-            "signature_paths": list(report.config.signature_paths),
-            "output_format": report.config.output_format,
-        },
-        "totals": dict(report.totals),
-        "functions": functions,
+        **_body(report),
         "timestamp": {
             "created": report.created,
             "wall_time": report.wall_time,
-            "functions": timing,
+            "functions": [{
+                "elapsed": fn.elapsed,
+                "signatures": {s.name: s.elapsed for s in fn.signatures},
+            } for fn in report.functions],
         },
     }
-
-
-def parse_report(data: Union[bytes, str, dict]) -> AnalysisReport:
-    """Inverse of the JSON emission, minus the live graphs."""
-    if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
-    if isinstance(data, str):
-        data = json.loads(data)
-    if data.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported report schema: {data.get('schema')!r}")
-    raw_config = data["config"]
-    config = AnalysisConfig(
-        n=raw_config["n"],
-        depth=raw_config["depth"],
-        timeout=raw_config["timeout"],
-        fork_cap=raw_config["fork_cap"],
-        signature_paths=tuple(raw_config["signature_paths"]),
-        output_format=raw_config["output_format"])
-    stamp = data["timestamp"]
-    functions = []
-    for raw_fn, raw_time in zip(data["functions"], stamp["functions"]):
-        signatures = tuple(SignatureResult(
-            name=s["name"],
-            identifier=s["identifier"],
-            matched=s["matched"],
-            graph_hits=tuple(s["graph_hits"]),
-            graph_index=s["graph_index"],
-            variant=s["variant"],
-            mappings=s["mappings"],
-            assignment=tuple(tuple(pair) for pair in s["assignment"]),
-            clamps=tuple(tuple(pair) for pair in s["clamps"]),
-            elapsed=raw_time["signatures"].get(s["name"], 0.0),
-        ) for s in raw_fn["signatures"])
-        permutation = tuple(BlockPermRecord(
-            graph_index=r["graph_index"],
-            anchor=r["anchor"],
-            anchor_symbol=r["anchor_symbol"],
-            triple=tuple(r["triple"]),
-            offsets=tuple(r["offsets"]),
-            path=tuple(tuple(step) for step in r["path"]),
-            confirmed=r["confirmed"],
-        ) for r in raw_fn["block_permutation"])
-        functions.append(FunctionResult(
-            entry=int(raw_fn["entry"], 16),
-            error=raw_fn["error"],
-            graphs=raw_fn["graphs"],
-            statuses=tuple(raw_fn["statuses"]),
-            signatures=signatures,
-            block_permutation=permutation,
-            elapsed=raw_time["elapsed"]))
-    return AnalysisReport(
-        version=data["version"],
-        config=config,
-        functions=tuple(functions),
-        totals=dict(data["totals"]),
-        wall_time=stamp["wall_time"],
-        created=stamp["created"])
 
 
 def _emit_json(report: AnalysisReport) -> bytes:
@@ -496,10 +397,6 @@ def _emit_dot(report: AnalysisReport) -> bytes:
     for fn in report.functions:
         if fn.error is not None:
             continue
-        if fn.graphs and not fn.dfgs:
-            raise ValueError(
-                "DOT emission needs live graphs; this report was parsed "
-                "from JSON and carries none")
         # target refs annotated by the exemplar embeddings, per graph
         annotations: dict[int, dict[int, list[str]]] = {}
         for s in fn.signatures:

@@ -181,11 +181,6 @@ def _judge_interval(op: str, c: int, lo: int, hi: int,
     return Verdict.UNDETERMINED
 
 
-def evaluate_condition(path: PathCondition, graph: Dfg,
-                       cond: Condition) -> Verdict:
-    return path.evaluate(graph, cond)
-
-
 def _render_operand(graph: Dfg, ref: NodeRef) -> str:
     node = graph.node(ref)
     if node.kind is NodeKind.CONST:
@@ -217,22 +212,40 @@ def oracle_query(e: int, backlog: dict[int, list[bool]],
         OracleDecision.TAKE_TRUE
 
 
-@dataclass
+# Instruction budget per second of `Config.timeout`.
+STEPS_PER_SECOND = 2_000_000
+
+
+@dataclass(frozen=True)
 class Config:
+    """Exploration settings for one function.
+
+    ``n`` is the loop iteration target handed to the path oracle,
+    ``depth`` the call inlining budget and ``fork_cap`` the number of
+    live states beyond which underdetermined branches stop forking.
+    ``timeout`` limits the exploration in two ways: a wall-clock
+    deadline of that many seconds covers all of its paths together,
+    and an instruction budget of ``timeout`` x `STEPS_PER_SECOND`
+    steps (at least 10,000) starts at the entry and is copied to each
+    forked path, so every path counts its steps from the entry.
+    """
+
     n: int = 4
     depth: int = 2
     timeout: float = 10.0
     fork_cap: int = 64
-    calibration: int = 2_000_000
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be at least 1")
+        if self.depth < 0:
+            raise ValueError("depth must not be negative")
+        if self.timeout <= 0:
+            raise ValueError("timeout must be positive")
 
     @property
     def budget(self) -> int:
-        return budget_from_timeout(self.timeout, self.calibration)
-
-
-def budget_from_timeout(t_timeout: float,
-                        calibration: int = 2_000_000) -> int:
-    return max(10_000, int(t_timeout * calibration))
+        return max(10_000, int(self.timeout * STEPS_PER_SECOND))
 
 
 class ExecState:
@@ -466,9 +479,7 @@ class Explorer:
                 if cont is None:
                     state = st
                     continue
-                if isinstance(cont, PathResult):
-                    return cont
-                return None
+                return cont
             end = self._apply_outcome(state, ins, outcome)
             if end is not None:
                 return end
@@ -479,11 +490,11 @@ class Explorer:
         cont = self._apply_conditional(st, ins, taken)
         if cont is None:
             stack.append(st)
-        elif isinstance(cont, PathResult):
+        else:
             results.append(cont)
 
     def _apply_conditional(self, st: ExecState, ins: Instruction,
-                           taken: bool):
+                           taken: bool) -> Optional[PathResult]:
         """Run the instruction body (taken) or skip it.  Returns None to
         keep stepping or a PathResult that ends the path."""
         if not taken:
@@ -497,7 +508,7 @@ class Explorer:
         return self._apply_outcome(st, ins, outcome)
 
     def _apply_outcome(self, state: ExecState, ins: Instruction,
-                       outcome: StepOutcome):
+                       outcome: StepOutcome) -> Optional[PathResult]:
         kind = outcome.kind
         if kind is OutcomeKind.FALLTHROUGH:
             state.pc = ins.address + 4

@@ -182,7 +182,19 @@ def test_io_errors_exit_2(workspace, tmp_path, capsys):
     assert main(["--image", str(image), "--elf"]) == 2
     assert main(["--image", str(image), "--entries", str(entries),
                  "--out", str(tmp_path / "no" / "dir" / "x.json")]) == 2
-    capsys.readouterr()
+    # an arity error and a file that is not UTF-8 in a signature
+    # directory, then an entry file that is not UTF-8
+    arity = b"IDENTIFIER bad\nVARIANT v\nx: XOR(1);\n"
+    for name, body in (("arity", arity), ("utf16", b"\xff\xfe")):
+        sigdir = tmp_path / name
+        sigdir.mkdir()
+        (sigdir / "bad.sig").write_bytes(body)
+        assert main(["--image", str(image), "--entries", str(entries),
+                     "--signatures", str(sigdir)]) == 2
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"0x0\n\xff\n")
+    assert main(["--image", str(image), "--entries", str(binary)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_empty_entry_file_runs_clean(workspace, tmp_path):

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from wherescrypto import arm
+from wherescrypto import arm, symexec
 from wherescrypto.asm import assemble
 from wherescrypto.dfg import Dfg, NodeKind
 from wherescrypto.symexec import (
@@ -23,8 +23,6 @@ from wherescrypto.symexec import (
     PathCondition,
     Status,
     Verdict,
-    budget_from_timeout,
-    evaluate_condition,
     explore,
     handle_conditional,
     oracle_query,
@@ -143,7 +141,7 @@ def test_evaluate_soundness_against_enumeration():
             continue
         query = Condition(node, rng.choice(ops),
                           consts[rng.randrange(-8, 9)])
-        verdict = evaluate_condition(p, g, query)
+        verdict = p.evaluate(g, query)
 
         def sat(value, cond, polarity=True):
             cv = g.const_value(cond.v2)
@@ -435,11 +433,12 @@ def test_explore_aborts_on_symbolic_pc():
     assert r.status is Status.ABORTED
 
 
-def test_explore_budget_exhaustion():
-    # calibration of 1 instruction per second makes the instruction
-    # budget bottom out at its floor long before the wall clock matters
+def test_explore_budget_exhaustion(monkeypatch):
+    # at 1 instruction per second the instruction budget bottoms out at
+    # its floor long before the wall clock matters
+    monkeypatch.setattr(symexec, "STEPS_PER_SECOND", 1)
     image = assemble("loop: b loop")
-    results = explore(0, image, Config(timeout=100.0, calibration=1))
+    results = explore(0, image, Config(timeout=100.0))
     (r,) = results
     assert r.status is Status.TIMEOUT
     assert "instruction budget exhausted" in r.flags
@@ -470,6 +469,12 @@ def test_fork_cap_bounds_live_states():
     assert 8 <= len(results) < 2 ** 13
 
 
-def test_budget_from_timeout():
-    assert budget_from_timeout(10, 2_000_000) == 20_000_000
-    assert budget_from_timeout(0.001) == 10_000
+def test_budget_scales_with_timeout():
+    assert Config(timeout=10).budget == 20_000_000
+    assert Config(timeout=0.001).budget == 10_000
+
+
+def test_config_rejects_bad_values():
+    for bad in ({"n": 0}, {"depth": -1}, {"timeout": 0}):
+        with pytest.raises(ValueError):
+            Config(**bad)
