@@ -1,4 +1,4 @@
-"""32-bit ARM (A32) decoder and instruction lifting.
+"""32-bit ARM (A32) decoder plus one lifter per mnemonic.
 
 ``decode`` turns little-endian words into ``Instruction`` records for a
 fixed subset of user-mode A32: data processing, multiplies, word/byte
@@ -6,16 +6,21 @@ loads and stores, block transfers, and branches.  Anything outside the
 subset raises ``UndecodableError`` so the caller can abort that path and
 flag the function.
 
-``step``/``execute`` translate one instruction into graph-broker
-requests against an execution state.  The state object is owned by the
-symbolic execution engine; this module only relies on a small attribute
-protocol (graph, regs, flag_source, approx, image, base, initial_lr).
+``execute`` looks the mnemonic up in a table that holds one lifter for
+every mnemonic ``decode`` emits, and the lifter translates the
+instruction body into graph-broker requests against an execution state.
+A conditional instruction's guard comes from ``condition_info``; the
+engine decides it and runs ``execute`` only on the side where it holds.
+The state object is owned by the symbolic execution engine; this module
+only relies on a small attribute protocol (graph, regs, flag_source,
+approx, image, base, initial_lr).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Optional, Union
 
 from .dfg import MASK32, NodeKind, NodeRef, NodeSpec
@@ -332,7 +337,6 @@ def _decode_branch(word: int, address: int, cond: str) -> Instruction:
 class OutcomeKind(Enum):
     FALLTHROUGH = "FALLTHROUGH"
     JUMP = "JUMP"
-    CONDITIONAL = "CONDITIONAL"
     CALL = "CALL"
     RETURN = "RETURN"
 
@@ -342,35 +346,11 @@ class StepOutcome:
     kind: OutcomeKind
     target: Optional[int] = None
     return_address: Optional[int] = None
-    condition: Optional[tuple[NodeRef, str, NodeRef]] = None
-    expect_true: bool = True
-
-    @staticmethod
-    def fallthrough() -> "StepOutcome":
-        return _FALLTHROUGH
-
-    @staticmethod
-    def jump(target: int) -> "StepOutcome":
-        return StepOutcome(OutcomeKind.JUMP, target=target)
-
-    @staticmethod
-    def call(target: int, return_address: int) -> "StepOutcome":
-        return StepOutcome(OutcomeKind.CALL, target=target,
-                           return_address=return_address)
-
-    @staticmethod
-    def ret() -> "StepOutcome":
-        return StepOutcome(OutcomeKind.RETURN)
-
-    @staticmethod
-    def conditional(condition: tuple[NodeRef, str, NodeRef],
-                    expect_true: bool) -> "StepOutcome":
-        return StepOutcome(OutcomeKind.CONDITIONAL, condition=condition,
-                           expect_true=expect_true)
 
 
-# outcomes are frozen, so every fall-through step shares one instance
+# outcomes are frozen, so every fall-through and return shares one instance
 _FALLTHROUGH = StepOutcome(OutcomeKind.FALLTHROUGH)
+_RETURN = StepOutcome(OutcomeKind.RETURN)
 
 
 # condition code → (comparison operator, taken when the tuple is ...,
@@ -401,16 +381,6 @@ def condition_info(state, cond: str):
     return (v1, op, v2), expect
 
 
-def step(state, ins: Instruction) -> StepOutcome:
-    """Probe one instruction.  Conditional instructions come back as a
-    CONDITIONAL outcome without touching the state; the engine decides
-    and runs the body via ``execute`` on the taken side."""
-    if ins.cond != "AL":
-        condition, expect = condition_info(state, ins.cond)
-        return StepOutcome.conditional(condition, expect)
-    return execute(state, ins)
-
-
 def _read_reg(state, index: int, ins: Instruction) -> NodeRef:
     if index == 15:
         return state.graph.request_constant(ins.address + 8)
@@ -420,22 +390,40 @@ def _read_reg(state, index: int, ins: Instruction) -> NodeRef:
 def _pc_write(state, value: NodeRef, ins: Instruction) -> StepOutcome:
     g = state.graph
     if value == state.initial_lr:
-        return StepOutcome.ret()
+        return _RETURN
     if g.is_const(value):
-        return StepOutcome.jump(g.const_value(value))
+        return StepOutcome(OutcomeKind.JUMP, g.const_value(value))
     raise UnsupportedPcWrite(ins.address)
 
 
 def _write_reg(state, index: int, value: NodeRef,
-               ins: Instruction) -> Optional[StepOutcome]:
+               ins: Instruction) -> StepOutcome:
     if index == 15:
         return _pc_write(state, value, ins)
     state.regs[REG_NAMES[index]] = value
-    return None
+    return _FALLTHROUGH
+
+
+def _write_result(state, ins: Instruction, rd: Reg, result: NodeRef,
+                  flags: Optional[tuple[NodeRef, NodeRef]] = None
+                  ) -> StepOutcome:
+    """The tail of every data-processing lifter: with the S bit set the
+    flags come from ``flags``, or else from comparing the result with
+    zero; then the result goes to Rd, where a write to PC ends the
+    step."""
+    if ins.set_flags:
+        state.flag_source = flags or (result,
+                                      state.graph.request_constant(0))
+    return _write_reg(state, rd.index, result, ins)
 
 
 def _op(state, kind: NodeKind, *inputs: NodeRef) -> NodeRef:
     return state.graph.request_operation(NodeSpec(kind, inputs))
+
+
+def _not(state, value: NodeRef) -> NodeRef:
+    return _op(state, NodeKind.XOR, value,
+               state.graph.request_constant(MASK32))
 
 
 def _operand_node(state, op: Operand, ins: Instruction) -> NodeRef:
@@ -495,21 +483,93 @@ def _load_value(state, addr: NodeRef, byte: bool) -> NodeRef:
     return value
 
 
-def _mem_access(state, ins: Instruction, rd: Reg, mem: Mem,
-                load: bool, byte: bool) -> Optional[StepOutcome]:
+# ---------------------------------------------------------------------------
+# one lifter per mnemonic: lift(state, ins) -> StepOutcome
+
+
+def _lift_bx(state, ins: Instruction) -> StepOutcome:
+    return _pc_write(state, _read_reg(state, ins.operands[0].index, ins),
+                     ins)
+
+
+def _lift_mov(state, ins: Instruction) -> StepOutcome:
+    rd, src = ins.operands
+    return _write_result(state, ins, rd, _operand_node(state, src, ins))
+
+
+def _lift_mvn(state, ins: Instruction) -> StepOutcome:
+    rd, src = ins.operands
+    return _write_result(state, ins, rd,
+                         _not(state, _operand_node(state, src, ins)))
+
+
+def _lift_shift(state, ins: Instruction) -> StepOutcome:
+    rd, rm, by = ins.operands
+    value = _read_reg(state, rm.index, ins)
+    amount = _operand_node(state, by, ins)
+    return _write_result(state, ins, rd,
+                         _apply_shift(state, ins.mnemonic, value, amount))
+
+
+def _lift_cmp(state, ins: Instruction) -> StepOutcome:
+    rn, op2 = ins.operands
+    state.flag_source = (_read_reg(state, rn.index, ins),
+                         _operand_node(state, op2, ins))
+    return _FALLTHROUGH
+
+
+def _flag_test(state, ins: Instruction, kind: NodeKind) -> StepOutcome:
+    """CMN and TST: flags from comparing ``kind(Rn, Op2)`` with zero."""
+    rn, op2 = ins.operands
+    a = _read_reg(state, rn.index, ins)
+    result = _op(state, kind, a, _operand_node(state, op2, ins))
+    state.flag_source = (result, state.graph.request_constant(0))
+    return _FALLTHROUGH
+
+
+def _alu(state, ins: Instruction, kind: NodeKind, swap: bool = False,
+         invert: bool = False) -> StepOutcome:
+    """``Rd = kind(Rn, Op2)``; ``swap`` exchanges the two operands (RSB)
+    and ``invert`` complements Op2 first (BIC).  A flag-setting
+    subtraction compares its operands, as CMP does."""
+    rd, rn, op2 = ins.operands
+    a = _read_reg(state, rn.index, ins)
+    b = _operand_node(state, op2, ins)
+    if swap:
+        a, b = b, a
+    if invert:
+        b = _not(state, b)
+    flags = (a, b) if kind is NodeKind.SUB else None
+    return _write_result(state, ins, rd, _op(state, kind, a, b), flags)
+
+
+def _lift_adc(state, ins: Instruction) -> StepOutcome:
+    state.approx.add("ADC lifted without carry-in")
+    return _alu(state, ins, NodeKind.ADD)
+
+
+def _lift_mul(state, ins: Instruction, accumulate: bool) -> StepOutcome:
+    rd, rm, rs = ins.operands[:3]
+    result = _op(state, NodeKind.MULT, _read_reg(state, rm.index, ins),
+                 _read_reg(state, rs.index, ins))
+    if accumulate:
+        result = _op(state, NodeKind.ADD, result,
+                     _read_reg(state, ins.operands[3].index, ins))
+    return _write_result(state, ins, rd, result)
+
+
+def _mem_access(state, ins: Instruction, load: bool,
+                byte: bool) -> StepOutcome:
+    """LDR, LDRB, STR and STRB, with every addressing mode."""
+    rd, mem = ins.operands
     g = state.graph
     base = _read_reg(state, mem.base, ins)
     if mem.offset is None:
-        offset = None
+        indexed = base
     else:
         offset = _operand_node(state, mem.offset, ins)
-    if offset is None:
-        indexed = base
-    elif mem.add:
-        indexed = _op(state, NodeKind.ADD, base, offset)
-    else:
-        indexed = _op(state, NodeKind.SUB, base, offset)
-
+        indexed = _op(state, NodeKind.ADD if mem.add else NodeKind.SUB,
+                      base, offset)
     addr = indexed if mem.pre else base
     if not load:
         g.record_store(addr, _read_reg(state, rd.index, ins))
@@ -518,13 +578,14 @@ def _mem_access(state, ins: Instruction, rd: Reg, mem: Mem,
             raise UnsupportedPcWrite(ins.address)
         state.regs[REG_NAMES[mem.base]] = indexed
     if load:
-        value = _load_value(state, addr, byte)
-        return _write_reg(state, rd.index, value, ins)
-    return None
+        return _write_reg(state, rd.index, _load_value(state, addr, byte),
+                          ins)
+    return _FALLTHROUGH
 
 
-def _block_transfer(state, ins: Instruction, rl: RegList,
-                    load: bool) -> StepOutcome:
+def _block_transfer(state, ins: Instruction, load: bool) -> StepOutcome:
+    """LDM/POP and STM/PUSH in all four addressing modes."""
+    rl = ins.operands[0]
     g = state.graph
     base = _read_reg(state, rl.base, ins)
     n = len(rl.regs)
@@ -533,8 +594,7 @@ def _block_transfer(state, ins: Instruction, rl: RegList,
         delta = {"IA": 4 * i, "IB": 4 * (i + 1),
                  "DA": -4 * (n - 1 - i), "DB": -4 * (n - i)}[rl.mode]
         if delta:
-            addr = _op(state, NodeKind.ADD, base,
-                       g.request_constant(delta))
+            addr = _op(state, NodeKind.ADD, base, g.request_constant(delta))
         else:
             addr = base
         if load:
@@ -551,129 +611,42 @@ def _block_transfer(state, ins: Instruction, rl: RegList,
             state, NodeKind.ADD, base, g.request_constant(total))
     if pc_value is not None:
         return _pc_write(state, pc_value, ins)
-    return StepOutcome.fallthrough()
+    return _FALLTHROUGH
 
 
-def _set_result_flags(state, result: NodeRef) -> None:
-    state.flag_source = (result, state.graph.request_constant(0))
+# every mnemonic that `decode` emits, and nothing else
+_LIFTERS = {
+    "NOP": lambda state, ins: _FALLTHROUGH,
+    "B": lambda state, ins: StepOutcome(OutcomeKind.JUMP,
+                                        ins.operands[0].address),
+    "BL": lambda state, ins: StepOutcome(OutcomeKind.CALL,
+                                         ins.operands[0].address,
+                                         ins.address + 4),
+    "BX": _lift_bx, "MOV": _lift_mov, "MVN": _lift_mvn,
+    "LSL": _lift_shift, "LSR": _lift_shift, "ASR": _lift_shift,
+    "ROR": _lift_shift, "CMP": _lift_cmp,
+    "CMN": partial(_flag_test, kind=NodeKind.ADD),
+    "TST": partial(_flag_test, kind=NodeKind.AND),
+    "ADD": partial(_alu, kind=NodeKind.ADD), "ADC": _lift_adc,
+    "SUB": partial(_alu, kind=NodeKind.SUB),
+    "RSB": partial(_alu, kind=NodeKind.SUB, swap=True),
+    "AND": partial(_alu, kind=NodeKind.AND),
+    "ORR": partial(_alu, kind=NodeKind.OR),
+    "EOR": partial(_alu, kind=NodeKind.XOR),
+    "BIC": partial(_alu, kind=NodeKind.AND, invert=True),
+    "MUL": partial(_lift_mul, accumulate=False),
+    "MLA": partial(_lift_mul, accumulate=True),
+    "LDR": partial(_mem_access, load=True, byte=False),
+    "LDRB": partial(_mem_access, load=True, byte=True),
+    "STR": partial(_mem_access, load=False, byte=False),
+    "STRB": partial(_mem_access, load=False, byte=True),
+    "LDM": partial(_block_transfer, load=True),
+    "POP": partial(_block_transfer, load=True),
+    "STM": partial(_block_transfer, load=False),
+    "PUSH": partial(_block_transfer, load=False),
+}
 
 
 def execute(state, ins: Instruction) -> StepOutcome:
     """Lift the instruction body, assuming its condition (if any) passed."""
-    g = state.graph
-    m = ins.mnemonic
-
-    if m == "NOP":
-        return StepOutcome.fallthrough()
-
-    if m == "B":
-        return StepOutcome.jump(ins.operands[0].address)
-    if m == "BL":
-        return StepOutcome.call(ins.operands[0].address, ins.address + 4)
-    if m == "BX":
-        return _pc_write(state, _read_reg(state, ins.operands[0].index,
-                                          ins), ins)
-
-    if m in ("MOV", "MVN"):
-        rd, src = ins.operands
-        value = _operand_node(state, src, ins)
-        if m == "MVN":
-            value = _op(state, NodeKind.XOR, value,
-                        g.request_constant(MASK32))
-        if ins.set_flags:
-            _set_result_flags(state, value)
-        return _write_reg(state, rd.index, value, ins) or \
-            StepOutcome.fallthrough()
-
-    if m in _SHIFT_KINDS:
-        rd, rm, by = ins.operands
-        value = _read_reg(state, rm.index, ins)
-        amount = _operand_node(state, by, ins)
-        result = _apply_shift(state, m, value, amount)
-        if ins.set_flags:
-            _set_result_flags(state, result)
-        return _write_reg(state, rd.index, result, ins) or \
-            StepOutcome.fallthrough()
-
-    if m in _COMPARE_OPS:
-        rn, op2 = ins.operands
-        a = _read_reg(state, rn.index, ins)
-        b = _operand_node(state, op2, ins)
-        if m == "CMP":
-            state.flag_source = (a, b)
-        elif m == "CMN":
-            state.flag_source = (_op(state, NodeKind.ADD, a, b),
-                                 g.request_constant(0))
-        else:
-            state.flag_source = (_op(state, NodeKind.AND, a, b),
-                                 g.request_constant(0))
-        return StepOutcome.fallthrough()
-
-    if m in ("ADD", "ADC", "SUB", "RSB", "AND", "ORR", "EOR", "BIC"):
-        rd, rn, op2 = ins.operands
-        a = _read_reg(state, rn.index, ins)
-        b = _operand_node(state, op2, ins)
-        if m == "ADC":
-            state.approx.add("ADC lifted without carry-in")
-        if m in ("ADD", "ADC"):
-            result = _op(state, NodeKind.ADD, a, b)
-        elif m == "SUB":
-            result = _op(state, NodeKind.SUB, a, b)
-        elif m == "RSB":
-            result = _op(state, NodeKind.SUB, b, a)
-        elif m == "AND":
-            result = _op(state, NodeKind.AND, a, b)
-        elif m == "ORR":
-            result = _op(state, NodeKind.OR, a, b)
-        elif m == "EOR":
-            result = _op(state, NodeKind.XOR, a, b)
-        else:
-            result = _op(state, NodeKind.AND, a,
-                         _op(state, NodeKind.XOR, b,
-                             g.request_constant(MASK32)))
-        if ins.set_flags:
-            if m == "SUB":
-                state.flag_source = (a, b)
-            elif m == "RSB":
-                state.flag_source = (b, a)
-            else:
-                _set_result_flags(state, result)
-        return _write_reg(state, rd.index, result, ins) or \
-            StepOutcome.fallthrough()
-
-    if m == "MUL":
-        rd, rm, rs = ins.operands
-        result = _op(state, NodeKind.MULT,
-                     _read_reg(state, rm.index, ins),
-                     _read_reg(state, rs.index, ins))
-        if ins.set_flags:
-            _set_result_flags(state, result)
-        return _write_reg(state, rd.index, result, ins) or \
-            StepOutcome.fallthrough()
-
-    if m == "MLA":
-        rd, rm, rs, ra = ins.operands
-        product = _op(state, NodeKind.MULT,
-                      _read_reg(state, rm.index, ins),
-                      _read_reg(state, rs.index, ins))
-        result = _op(state, NodeKind.ADD, product,
-                     _read_reg(state, ra.index, ins))
-        if ins.set_flags:
-            _set_result_flags(state, result)
-        return _write_reg(state, rd.index, result, ins) or \
-            StepOutcome.fallthrough()
-
-    if m in ("LDR", "LDRB", "STR", "STRB"):
-        rd, mem = ins.operands
-        outcome = _mem_access(state, ins, rd, mem,
-                              load=m.startswith("LDR"),
-                              byte=m.endswith("B"))
-        return outcome or StepOutcome.fallthrough()
-
-    if m in ("LDM", "POP"):
-        return _block_transfer(state, ins, ins.operands[0], load=True)
-    if m in ("STM", "PUSH"):
-        return _block_transfer(state, ins, ins.operands[0], load=False)
-
-    raise UndecodableError(ins.address, ins.raw,
-                           f"no lifting for {m}")
+    return _LIFTERS[ins.mnemonic](state, ins)

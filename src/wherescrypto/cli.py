@@ -9,13 +9,13 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Optional
 
 from .elf import ElfError, load_elf
 from .report import (AnalysisConfig, MalformedLineError, UnknownFormatError,
                      analyze_binary, emit_report, load_entries)
-from .sigdsl import ArityError, ParseError
-from .siglib import builtin_names, load_catalog, load_signature_dir, \
-    signature_source
+from .siglib import SignatureFileError, builtin_names, load_catalog, \
+    load_signature_dir, signature_source
 
 
 class _UsageError(Exception):
@@ -73,8 +73,9 @@ def _fail_usage(message: str) -> int:
     return 1
 
 
-def _fail_io(exc: Exception) -> int:
-    print(f"wherescrypto: {exc}", file=sys.stderr)
+def _fail_io(exc: Exception, path: Optional[str] = None) -> int:
+    where = "" if path is None else f"{path}: "
+    print(f"wherescrypto: {where}{exc}", file=sys.stderr)
     return 2
 
 
@@ -120,24 +121,30 @@ def main(argv=None) -> int:
     except ValueError as exc:
         return _fail_usage(str(exc))
 
+    # an OSError and a SignatureFileError name their file; the other
+    # format errors get the name of the input they came from
     try:
         data = Path(args.image).read_bytes()
         if args.elf:
-            loaded = load_elf(data)
+            try:
+                loaded = load_elf(data)
+            except ElfError as exc:
+                return _fail_io(exc, args.image)
             image, base = loaded.image, loaded.base
-            if args.entries is None:
-                entries = sorted(set(loaded.functions.values()))
-            else:
-                entries = load_entries(args.entries)
         else:
             image = data
-            entries = load_entries(args.entries)
+        if args.entries is None:                  # only with --elf
+            entries = sorted(set(loaded.functions.values()))
+        else:
+            try:
+                entries = load_entries(args.entries)
+            except (MalformedLineError, UnicodeDecodeError) as exc:
+                return _fail_io(exc, args.entries)
         if args.signatures:
             corpus = load_signature_dir(Path(args.signatures))
         else:
             corpus = load_catalog()
-    except (OSError, ElfError, MalformedLineError, ParseError, ArityError,
-            UnicodeDecodeError) as exc:
+    except (OSError, SignatureFileError) as exc:
         return _fail_io(exc)
 
     report = analyze_binary(image, base, entries, config, corpus)

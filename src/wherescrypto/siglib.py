@@ -16,10 +16,11 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .sigdsl import SignatureDoc, parse
+from .sigdsl import ArityError, ParseError, SignatureDoc, parse
 
 __all__ = [
-    "UnknownSignatureError", "builtin_names", "signature_source",
+    "SignatureFileError", "UnknownSignatureError", "builtin_names",
+    "signature_source",
     "load_builtin", "load_catalog", "load_signature_dir",
     "generate_feistel_variants",
 ]
@@ -32,6 +33,15 @@ class UnknownSignatureError(KeyError):
 
     def __str__(self) -> str:
         return f"no built-in signature named {self.name!r}"
+
+
+class SignatureFileError(ValueError):
+    """A ``.sig`` file that is not UTF-8 or does not parse; the message
+    names the file, then the cause."""
+
+    def __init__(self, path: Path, cause: Exception):
+        super().__init__(f"{path}: {cause}")
+        self.path = path
 
 
 def _signature_dir():
@@ -62,10 +72,14 @@ def load_catalog() -> dict[str, SignatureDoc]:
 
 
 def load_signature_dir(path: Path) -> dict[str, SignatureDoc]:
-    """Parses every ``*.sig`` file in a directory, keyed by file stem."""
+    """Parses every ``*.sig`` file in a directory, keyed by file stem.
+    A file that fails raises `SignatureFileError` naming it."""
     docs = {}
     for entry in sorted(path.glob("*.sig")):
-        docs[entry.stem] = parse(entry.read_text(encoding="utf-8"))
+        try:
+            docs[entry.stem] = parse(entry.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, ParseError, ArityError) as exc:
+            raise SignatureFileError(entry, exc) from exc
     return docs
 
 

@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Optional
 
 from . import arm
-from .arm import Instruction, OutcomeKind, StepOutcome
+from .arm import Instruction, OutcomeKind
 from .dfg import Dfg, NodeKind, NodeRef, NodeSpec
 
 SIGNED_MIN = -(1 << 31)
@@ -452,63 +452,41 @@ class Explorer:
                 state.flags.add(str(err))
                 return self._finish(state, Status.ABORTED)
 
-            try:
-                outcome = arm.step(state, ins)
-            except (arm.UnsupportedPcWrite, arm.DecodeError) as err:
-                state.flags.add(str(err))
-                return self._finish(state, Status.ABORTED)
-
-            if outcome.kind is OutcomeKind.CONDITIONAL:
-                cond = Condition(*outcome.condition)
+            if ins.cond == "AL":
+                end = self._execute(state, ins)
+            else:
+                (v1, op, v2), expect = arm.condition_info(state, ins.cond)
                 pairs = handle_conditional(
-                    state, state.pc, cond, config.n,
-                    live_count=len(stack) + 1,
-                    fork_cap=config.fork_cap)
+                    state, state.pc, Condition(v1, op, v2), config.n,
+                    live_count=len(stack) + 1, fork_cap=config.fork_cap)
                 if not pairs:
                     return None                       # dead state
-                follow: Optional[tuple[ExecState, bool]] = None
-                for st, value in pairs:
-                    taken = value == outcome.expect_true
-                    if follow is None:
-                        follow = (st, taken)
+                # this loop follows the first pair; a forked sibling is
+                # run up to its next instruction and set aside
+                for st, value in pairs[1:]:
+                    done = self._execute(st, ins, value == expect)
+                    if done is None:
+                        stack.append(st)
                     else:
-                        self._after_conditional(st, ins, taken, stack,
-                                                results)
-                st, taken = follow
-                cont = self._apply_conditional(st, ins, taken)
-                if cont is None:
-                    state = st
-                    continue
-                return cont
-            end = self._apply_outcome(state, ins, outcome)
+                        results.append(done)
+                state, value = pairs[0]
+                end = self._execute(state, ins, value == expect)
             if end is not None:
                 return end
 
-    def _after_conditional(self, st: ExecState, ins: Instruction,
-                           taken: bool, stack: list[ExecState],
-                           results: list[PathResult]) -> None:
-        cont = self._apply_conditional(st, ins, taken)
-        if cont is None:
-            stack.append(st)
-        else:
-            results.append(cont)
-
-    def _apply_conditional(self, st: ExecState, ins: Instruction,
-                           taken: bool) -> Optional[PathResult]:
-        """Run the instruction body (taken) or skip it.  Returns None to
-        keep stepping or a PathResult that ends the path."""
+    def _execute(self, state: ExecState, ins: Instruction,
+                 taken: bool = True) -> Optional[PathResult]:
+        """Skip the instruction when its condition failed, else lift it
+        and follow its outcome.  Returns None to keep stepping or the
+        PathResult that ends the path."""
         if not taken:
-            st.pc = ins.address + 4
+            state.pc = ins.address + 4
             return None
         try:
-            outcome = arm.execute(st, ins)
-        except (arm.UnsupportedPcWrite, arm.DecodeError) as err:
-            st.flags.add(str(err))
-            return self._finish(st, Status.ABORTED)
-        return self._apply_outcome(st, ins, outcome)
-
-    def _apply_outcome(self, state: ExecState, ins: Instruction,
-                       outcome: StepOutcome) -> Optional[PathResult]:
+            outcome = arm.execute(state, ins)
+        except arm.UnsupportedPcWrite as err:
+            state.flags.add(str(err))
+            return self._finish(state, Status.ABORTED)
         kind = outcome.kind
         if kind is OutcomeKind.FALLTHROUGH:
             state.pc = ins.address + 4
@@ -524,9 +502,7 @@ class Explorer:
             self._handle_call(state, outcome.target,
                               outcome.return_address)
             return None
-        if kind is OutcomeKind.RETURN:
-            return self._finish(state, Status.COMPLETE)
-        raise AssertionError(f"unexpected outcome {kind}")
+        return self._finish(state, Status.COMPLETE)    # RETURN
 
     def _handle_call(self, state: ExecState, target: int,
                      return_address: int) -> None:

@@ -10,11 +10,13 @@ execution state and check the graph structure they request.
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wherescrypto import arm
 from wherescrypto.arm import OutcomeKind, UndecodableError, decode_word
 from wherescrypto.asm import AsmError, assemble
-from wherescrypto.dfg import NodeKind
+from wherescrypto.dfg import MASK32, NodeKind
 from wherescrypto.symexec import Config, ExecState
 
 BATTERY = """\
@@ -180,6 +182,47 @@ def test_undecodable_words(word, why):
         decode_word(word, 0)
 
 
+def _word(line: str) -> int:
+    return int.from_bytes(assemble(line)[:4], "little")
+
+
+# random words almost never hit BX and NOP, and seldom the multiplies,
+# PUSH/POP or the shifts that decode out of MOV
+@settings(max_examples=1000, deadline=None)
+@given(word=st.integers(0, MASK32),
+       address=st.integers(0, (1 << 28) - 1).map(lambda a: 4 * a))
+@example(word=_word("bx lr"), address=0)
+@example(word=_word("bxne r4"), address=0)
+@example(word=_word("nop"), address=0)
+@example(word=_word("nopeq"), address=0)
+@example(word=_word("muls r0, r1, r2"), address=0)
+@example(word=_word("mla r3, r4, r5, r6"), address=0)
+@example(word=_word("push {r4, lr}"), address=0)
+@example(word=_word("pop {r4, pc}"), address=0)
+@example(word=_word("asr r0, r1, r2"), address=0)
+@example(word=_word("ror r6, r7, #8"), address=0)
+def test_decode_and_lift_contract(word, address):
+    """``decode_word`` raises only ``UndecodableError``, and whatever it
+    returns lifts on a fresh state raising only ``UnsupportedPcWrite``
+    (the one error the explorer catches), so the lifter table covers
+    every mnemonic that decode emits."""
+    try:
+        ins = decode_word(word, address)
+    except UndecodableError:
+        return
+    image = word.to_bytes(4, "little")
+    state = ExecState.initial(address, image, address, Config(timeout=1))
+    if ins.cond != "AL":
+        (v1, op, v2), expect = arm.condition_info(state, ins.cond)
+        assert {v1, v2} <= set(state.graph.nodes)
+    try:
+        outcome = arm.execute(state, ins)
+    except arm.UnsupportedPcWrite as err:
+        assert err.address == address
+        return
+    assert isinstance(outcome, arm.StepOutcome)
+
+
 def test_misaligned_address_rejected():
     with pytest.raises(UndecodableError):
         decode_word(0xE3A00004, 2)
@@ -202,17 +245,21 @@ def test_literal_pool_pseudo():
 
 
 def lift(text: str, steps: int | None = None, entry: int = 0):
+    """Lift ``steps`` instructions (default: all) from ``entry`` while
+    they fall through.  A conditional instruction stops the walk before
+    its body runs and comes back as its ``condition_info`` pair."""
     image = assemble(text, origin=entry)
     state = ExecState.initial(entry, image, entry, Config(timeout=1))
     count = steps if steps is not None else len(image) // 4
     outcome = None
     for _ in range(count):
         ins = arm.decode(image, state.pc, entry)
-        outcome = arm.step(state, ins)
-        if outcome.kind in (OutcomeKind.FALLTHROUGH,):
-            state.pc = ins.address + 4
-        else:
+        if ins.cond != "AL":
+            return state, arm.condition_info(state, ins.cond)
+        outcome = arm.execute(state, ins)
+        if outcome.kind is not OutcomeKind.FALLTHROUGH:
             break
+        state.pc = ins.address + 4
     return state, outcome
 
 
@@ -346,11 +393,10 @@ def test_lift_symbolic_pc_write_raises():
 
 
 def test_lift_conditional_probe():
-    state, outcome = lift("cmp r0, #5\nmovne r1, #1", steps=2)
-    assert outcome.kind is OutcomeKind.CONDITIONAL
-    v1, op, v2 = outcome.condition
+    state, ((v1, op, v2), expect) = lift("cmp r0, #5\nmovne r1, #1",
+                                         steps=2)
     assert op == "=="
-    assert outcome.expect_true is False
+    assert expect is False
     assert v1 == state.regs["R0"]
     assert state.graph.const_value(v2) == 5
 
@@ -377,15 +423,15 @@ def test_lift_subs_compares_operands():
 
 
 def test_lift_unknown_flags_fall_back_to_input():
-    state, outcome = lift("beq 0x20", steps=1)
-    assert outcome.kind is OutcomeKind.CONDITIONAL
-    v1, op, v2 = outcome.condition
+    state, ((v1, op, v2), expect) = lift("beq 0x20", steps=1)
+    assert (op, expect) == ("==", True)
     assert state.graph.node(v1).symbol == "cpsr0"
 
 
 def test_lift_approx_conditions_flagged():
-    state, outcome = lift("cmp r0, #5\nbhi 0x20", steps=2)
-    assert outcome.kind is OutcomeKind.CONDITIONAL
+    state, ((v1, op, v2), expect) = lift("cmp r0, #5\nbhi 0x20", steps=2)
+    assert (op, expect) == (">", True)
+    assert v1 == state.regs["R0"]
     assert any("HI" in a for a in state.approx)
 
 

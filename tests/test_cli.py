@@ -172,29 +172,38 @@ def test_usage_errors_exit_1(workspace, capsys):
 
 def test_io_errors_exit_2(workspace, tmp_path, capsys):
     root, image, entries = workspace
-    assert main(["--image", str(tmp_path / "missing.bin"),
-                 "--entries", str(entries)]) == 2
-    assert main(["--image", str(image),
-                 "--entries", str(tmp_path / "missing.txt")]) == 2
-    bad = tmp_path / "bad.txt"
-    bad.write_text("xyz\n")
-    assert main(["--image", str(image), "--entries", str(bad)]) == 2
-    assert main(["--image", str(image), "--elf"]) == 2
-    assert main(["--image", str(image), "--entries", str(entries),
-                 "--out", str(tmp_path / "no" / "dir" / "x.json")]) == 2
+    errors = []
+
+    def fails(*argv) -> str:
+        assert main(list(argv)) == 2
+        errors.append(capsys.readouterr().err)
+        return errors[-1]
+
+    fails("--image", str(tmp_path / "missing.bin"), "--entries", str(entries))
+    fails("--image", str(image), "--entries", str(tmp_path / "missing.txt"))
+    assert str(image) in fails("--image", str(image), "--elf")
+    fails("--image", str(image), "--entries", str(entries),
+          "--out", str(tmp_path / "no" / "dir" / "x.json"))
     # an arity error and a file that is not UTF-8 in a signature
-    # directory, then an entry file that is not UTF-8
+    # directory: the message names the bad file, not its good sibling
     arity = b"IDENTIFIER bad\nVARIANT v\nx: XOR(1);\n"
     for name, body in (("arity", arity), ("utf16", b"\xff\xfe")):
         sigdir = tmp_path / name
         sigdir.mkdir()
+        (sigdir / "good.sig").write_text(signature_source("xtea"))
         (sigdir / "bad.sig").write_bytes(body)
-        assert main(["--image", str(image), "--entries", str(entries),
-                     "--signatures", str(sigdir)]) == 2
-    binary = tmp_path / "binary.txt"
-    binary.write_bytes(b"0x0\n\xff\n")
-    assert main(["--image", str(image), "--entries", str(binary)]) == 2
-    assert "Traceback" not in capsys.readouterr().err
+        err = fails("--image", str(image), "--entries", str(entries),
+                    "--signatures", str(sigdir))
+        assert str(sigdir / "bad.sig") in err
+        assert "good.sig" not in err
+    # a malformed line and a line that is not UTF-8 in the entry file
+    for name, body in (("bad.txt", b"xyz\n"),
+                       ("binary.txt", b"0x0\n\xff\n")):
+        path = tmp_path / name
+        path.write_bytes(body)
+        assert str(path) in fails("--image", str(image),
+                                  "--entries", str(path))
+    assert not any("Traceback" in err for err in errors)
 
 
 def test_empty_entry_file_runs_clean(workspace, tmp_path):

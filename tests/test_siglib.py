@@ -1,6 +1,9 @@
 """Signature catalog tests: hygiene of every shipped document plus the
 behaviors the generic-class signatures are designed around."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from wherescrypto.dfg import Dfg, NodeKind, NodeSpec
@@ -150,6 +153,23 @@ def test_feistel_ladder_generation():
 def test_feistel_file_is_printed_ladder():
     assert signature_source("feistel") == \
         print_doc(generate_feistel_variants(8))
+
+
+@pytest.fixture(scope="module")
+def generated() -> dict[str, str]:
+    """The documents tools/make_signatures.py writes, by file name."""
+    path = Path(__file__).parents[1] / "tools" / "make_signatures.py"
+    spec = importlib.util.spec_from_file_location("make_signatures", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.documents()
+
+
+@pytest.mark.parametrize("name", ["feistel", "md5", "xtea"])
+def test_shipped_file_matches_generator(generated, name):
+    # a hand edit of a generated file fails here until the generator
+    # is changed to match and rerun
+    assert signature_source(name) == generated[f"{name}.sig"]
 
 
 def test_feistel_depth2_self_match():

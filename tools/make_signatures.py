@@ -142,15 +142,19 @@ def md5_source() -> str:
     return "\n".join(lines) + "\n"
 
 
-def main() -> None:
-    assert _md5_sine(0) == 0xD76AA478
-    assert _md5_sine(63) == 0xEB86D391
-    documents = {
+def documents() -> dict[str, str]:
+    """File name → text of every generated document."""
+    return {
         "xtea.sig": xtea_source(),
         "md5.sig": md5_source(),
         "feistel.sig": print_doc(generate_feistel_variants(8)),
     }
-    for name, text in documents.items():
+
+
+def main() -> None:
+    assert _md5_sine(0) == 0xD76AA478
+    assert _md5_sine(63) == 0xEB86D391
+    for name, text in documents().items():
         doc = parse(text)
         for variant in doc.variants:
             built = build_variant(variant)
