@@ -382,3 +382,26 @@ def test_block_permutation_report_shape():
     directions = [d for d, _ in report.path_signature]
     assert directions[-1] == "rev"          # arrives at a load
     assert report.path_signature[-1][1] == "LOAD"
+
+
+def test_block_permutation_takes_first_consumer_on_ties():
+    # each block reaches the next through XOR or through SUB in the same
+    # number of edges, and MULT(q, q) consumes q twice; the search must
+    # step to consumers in ascending ref order, so the XOR route wins
+    g = Dfg()
+    base = g.request_input("R1")
+    h = g.request_input("IV")
+    for j in range(1, 5):
+        addr = op(g, NodeKind.ADD, base, g.request_constant(16 * j))
+        m = g.request_load(addr)
+        q = op(g, NodeKind.OR, op(g, NodeKind.XOR, h, m),
+               op(g, NodeKind.SUB, h, m))
+        h = op(g, NodeKind.MULT, q, q)
+        assert g.node(h).inputs == (q, q)
+    g.purge([h])
+    route = [("fwd", "XOR"), ("fwd", "OR"), ("fwd", "MULT"),
+             ("fwd", "XOR"), ("rev", "LOAD")]
+    assert classify_block_permutation(g) == [
+        BlockPermReport(0, (4, 11, 18), (16, 32, 48), route, True),
+        BlockPermReport(0, (11, 18, 25), (32, 48, 64), route, True),
+    ]
