@@ -64,16 +64,10 @@ REG_NAMES = tuple([f"R{i}" for i in range(13)] + ["SP", "LR", "PC"])
 class Reg:
     index: int
 
-    def __str__(self) -> str:
-        return REG_NAMES[self.index].lower()
-
 
 @dataclass(frozen=True)
 class Imm:
     value: int
-
-    def __str__(self) -> str:
-        return f"#{self.value}" if self.value < 10 else f"#0x{self.value:x}"
 
 
 @dataclass(frozen=True)
@@ -82,11 +76,6 @@ class ShiftedReg:
     kind: str                      # LSL / LSR / ASR / ROR
     amount: Optional[int] = None   # immediate shift amount
     amount_reg: Optional[int] = None
-
-    def __str__(self) -> str:
-        by = (f"#{self.amount}" if self.amount_reg is None
-              else REG_NAMES[self.amount_reg].lower())
-        return f"{REG_NAMES[self.reg].lower()}, {self.kind.lower()} {by}"
 
 
 @dataclass(frozen=True)
@@ -97,17 +86,6 @@ class Mem:
     pre: bool
     writeback: bool
 
-    def __str__(self) -> str:
-        b = REG_NAMES[self.base].lower()
-        sign = "" if self.add else "-"
-        if self.offset is None:
-            inner = f"[{b}]"
-        elif self.pre:
-            inner = f"[{b}, {sign}{self.offset}]"
-        else:
-            return f"[{b}], {sign}{self.offset}"
-        return inner + ("!" if self.pre and self.writeback else "")
-
 
 @dataclass(frozen=True)
 class RegList:
@@ -116,16 +94,10 @@ class RegList:
     mode: str                      # IA / IB / DA / DB
     writeback: bool
 
-    def __str__(self) -> str:
-        return "{" + ", ".join(REG_NAMES[r].lower() for r in self.regs) + "}"
-
 
 @dataclass(frozen=True)
 class BranchTarget:
     address: int
-
-    def __str__(self) -> str:
-        return f"0x{self.address:x}"
 
 
 Operand = Union[Reg, Imm, ShiftedReg, Mem, RegList, BranchTarget]
@@ -139,15 +111,6 @@ class Instruction:
     cond: str
     set_flags: bool
     operands: tuple[Operand, ...]
-
-    def text(self) -> str:
-        name = self.mnemonic.lower()
-        if self.set_flags and self.mnemonic not in _COMPARE_OPS:
-            name += "s"
-        if self.cond != "AL":
-            name += self.cond.lower()
-        ops = ", ".join(str(o) for o in self.operands)
-        return f"{name} {ops}".strip()
 
 
 def _ror32(value: int, amount: int) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .arm import COND_NAMES
+from .arm import COND_NAMES, _DP_OPCODES, _SHIFT_KINDS, _ror32
 from .dfg import MASK32
 
 
@@ -27,13 +27,8 @@ class AsmError(Exception):
 _REGS = {f"r{i}": i for i in range(16)}
 _REGS.update({"sp": 13, "lr": 14, "pc": 15, "fp": 11, "ip": 12})
 
-_DP_CODES = {
-    "and": 0b0000, "eor": 0b0001, "sub": 0b0010, "rsb": 0b0011,
-    "add": 0b0100, "adc": 0b0101, "tst": 0b1000, "cmp": 0b1010,
-    "cmn": 0b1011, "orr": 0b1100, "mov": 0b1101, "bic": 0b1110,
-    "mvn": 0b1111,
-}
-_SHIFTS = {"lsl": 0, "lsr": 1, "asr": 2, "ror": 3}
+_DP_CODES = {name.lower(): code for code, name in _DP_OPCODES.items()}
+_SHIFTS = {kind.lower(): code for code, kind in enumerate(_SHIFT_KINDS)}
 _CONDS = {c.lower(): i for i, c in enumerate(COND_NAMES)}
 _CONDS["hs"] = _CONDS["cs"]
 _CONDS["lo"] = _CONDS["cc"]
@@ -48,13 +43,6 @@ _BASES = sorted(
 
 _NO_FLAGS = {"cmp", "cmn", "tst", "b", "bl", "bx", "push", "pop",
              "nop", "ldr", "str", "ldrb", "strb"}
-
-
-def _ror32(value: int, amount: int) -> int:
-    amount &= 31
-    if amount == 0:
-        return value & MASK32
-    return ((value >> amount) | (value << (32 - amount))) & MASK32
 
 
 def encode_immediate(value: int) -> int | None:

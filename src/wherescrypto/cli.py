@@ -53,11 +53,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--depth", type=int, default=2, metavar="D",
                         help="call inlining depth (default 2)")
     parser.add_argument("--timeout", type=float, default=10.0, metavar="S",
-                        help="exploration limit per function: a wall-clock "
-                             "deadline for all of its paths together, plus "
-                             "an instruction budget of 2,000,000 steps per "
-                             "second that each forked path inherits from "
-                             "its parent (default 10)")
+                        help="wall-clock backstop per function, for all "
+                             "of its paths together; the work is bounded "
+                             "by a fixed instruction budget that the paths "
+                             "share (default 10)")
     parser.add_argument("--format", choices=("json", "text", "dot"),
                         default="json", help="output format (default json)")
     parser.add_argument("--out", metavar="PATH",

@@ -120,8 +120,6 @@ class Dfg:
         self.nodes: dict[NodeRef, Node] = {}
         self.cons_table: dict[tuple, NodeRef] = {}
         self.store_map: dict[NodeRef, NodeRef] = {}
-        self.roots: set[NodeRef] = set()
-        self.uses: dict[NodeRef, list[NodeRef]] = {}
         self._next_id = 0
         self._next_serial = 0
 
@@ -177,9 +175,6 @@ class Dfg:
         node = Node(ref, kind, inputs, const_value, symbol, clamp, serial)
         self.nodes[ref] = node
         self.cons_table[key] = ref
-        self.uses[ref] = []
-        for i in inputs:
-            self.uses[i].append(ref)
         return ref
 
     def request_constant(self, value: int) -> NodeRef:
@@ -397,12 +392,8 @@ class Dfg:
         for ref in [r for r in self.nodes if r not in keep]:
             node = self.nodes.pop(ref)
             del self.cons_table[node.cons_key()]
-            del self.uses[ref]
-        for ref, consumers in self.uses.items():
-            self.uses[ref] = [c for c in consumers if c in keep]
         self.store_map = {a: v for a, v in self.store_map.items()
                           if a in keep and v in keep}
-        self.roots = roots
         return self
 
     def fork_graph(self) -> "Dfg":
@@ -411,8 +402,6 @@ class Dfg:
         g.nodes = dict(self.nodes)
         g.cons_table = dict(self.cons_table)
         g.store_map = dict(self.store_map)
-        g.roots = set(self.roots)
-        g.uses = {ref: list(consumers) for ref, consumers in self.uses.items()}
         g._next_id = self._next_id
         g._next_serial = self._next_serial
         return g

@@ -460,7 +460,18 @@ def _offset_loads(target: Dfg) -> dict[NodeRef,
     return groups
 
 
-def _bfs_path(target: Dfg, start: NodeRef, goal: NodeRef,
+def _consumers(target: Dfg) -> dict[NodeRef, list[NodeRef]]:
+    """Each node's consumers in ascending ref order, listing a consumer
+    once per input slot it takes the node in."""
+    uses: dict[NodeRef, list[NodeRef]] = {}
+    for ref in sorted(target.nodes):
+        for i in target.nodes[ref].inputs:
+            uses.setdefault(i, []).append(ref)
+    return uses
+
+
+def _bfs_path(target: Dfg, uses: dict[NodeRef, list[NodeRef]],
+              start: NodeRef, goal: NodeRef,
               blocked: set[tuple[NodeRef, NodeRef]],
               ) -> Optional[list[tuple[NodeRef, str]]]:
     """Shortest undirected path as [(node, direction-of-arrival)],
@@ -480,7 +491,7 @@ def _bfs_path(target: Dfg, start: NodeRef, goal: NodeRef,
                 cur = prev
             path.reverse()
             return path
-        steps = [(w, "fwd") for w in target.uses.get(u, ())]
+        steps = [(w, "fwd") for w in uses.get(u, ())]
         steps += [(w, "rev") for w in target.node(u).inputs]
         for w, direction in steps:
             if w in parents:
@@ -492,7 +503,8 @@ def _bfs_path(target: Dfg, start: NodeRef, goal: NodeRef,
     return None
 
 
-def _replay(target: Dfg, start: NodeRef, goal: NodeRef,
+def _replay(target: Dfg, uses: dict[NodeRef, list[NodeRef]],
+            start: NodeRef, goal: NodeRef,
             signature: list[tuple[str, str]],
             blocked: set[tuple[NodeRef, NodeRef]]) -> Optional[
                 list[NodeRef]]:
@@ -505,7 +517,7 @@ def _replay(target: Dfg, start: NodeRef, goal: NodeRef,
             return [u] if u == goal else None
         direction, kind_name = signature[depth]
         if direction == "fwd":
-            options = target.uses.get(u, ())
+            options = uses.get(u, ())
         else:
             options = target.node(u).inputs
         for w in options:
@@ -542,16 +554,17 @@ def _kinds_correspond(p_kinds: list[NodeKind],
     return p_extra <= q_wild and q_extra <= p_wild
 
 
-def _profiles_match(target: Dfg, p: NodeRef, q: NodeRef) -> bool:
+def _profiles_match(target: Dfg, uses: dict[NodeRef, list[NodeRef]],
+                    p: NodeRef, q: NodeRef) -> bool:
     pn, qn = target.node(p), target.node(q)
     p_in = [target.node(i).kind for i in pn.inputs]
     q_in = [target.node(i).kind for i in qn.inputs]
     if not _kinds_correspond(p_in, q_in):
         return False
     p_out = sorted(target.node(c).kind.name
-                   for c in set(target.uses.get(p, ())))
+                   for c in set(uses.get(p, ())))
     q_out = sorted(target.node(c).kind.name
-                   for c in set(target.uses.get(q, ())))
+                   for c in set(uses.get(q, ())))
     return p_out == q_out
 
 
@@ -565,6 +578,7 @@ def classify_block_permutation(target: Dfg) -> list[BlockPermReport]:
     computation.
     """
     reports: list[BlockPermReport] = []
+    uses = _consumers(target)
     for anchor, entries in sorted(_offset_loads(target).items()):
         entries = sorted(entries)
         for (k0, v0, a0), (k1, v1, a1), (k2, v2, a2) in \
@@ -572,20 +586,20 @@ def classify_block_permutation(target: Dfg) -> list[BlockPermReport]:
             if k1 - k0 < 16 or k1 - k0 != k2 - k1:
                 continue
             blocked = {(v0, a0), (v1, a1), (v2, a2)}
-            path = _bfs_path(target, v0, v1, blocked)
+            path = _bfs_path(target, uses, v0, v1, blocked)
             if path is None:
                 reports.append(BlockPermReport(
                     anchor, (v0, v1, v2), (k0, k1, k2), [], False))
                 continue
             signature = [(direction, target.node(ref).kind.name)
                          for ref, direction in path[1:]]
-            replay = _replay(target, v1, v2, signature, blocked)
+            replay = _replay(target, uses, v1, v2, signature, blocked)
             confirmed = replay is not None
             if confirmed:
                 assert replay is not None
                 first = [ref for ref, _ in path]
                 profile_ok = all(
-                    _profiles_match(target, p, q)
+                    _profiles_match(target, uses, p, q)
                     for p, q in zip(first, replay))
                 confirmed = profile_ok
             reports.append(BlockPermReport(

@@ -78,9 +78,9 @@ def tool_version() -> str:
 @dataclass(frozen=True)
 class AnalysisConfig(Config):
     """Knobs for one batch run: the exploration settings of
-    `symexec.Config` (its instruction budget is ``timeout`` x
-    `symexec.STEPS_PER_SECOND` steps per path), plus where the
-    signatures came from and the output format."""
+    `symexec.Config` (``timeout`` is only the wall-clock backstop to
+    the `symexec.STEP_BUDGET` that all paths of a function share),
+    plus where the signatures came from and the output format."""
 
     signature_paths: tuple[str, ...] = ()
     output_format: str = "json"

@@ -212,8 +212,8 @@ def oracle_query(e: int, backlog: dict[int, list[bool]],
         OracleDecision.TAKE_TRUE
 
 
-# Instruction budget per second of `Config.timeout`.
-STEPS_PER_SECOND = 2_000_000
+# Instructions one `explore` call may step, summed over all its paths.
+STEP_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -223,11 +223,9 @@ class Config:
     ``n`` is the loop iteration target handed to the path oracle,
     ``depth`` the call inlining budget and ``fork_cap`` the number of
     live states beyond which underdetermined branches stop forking.
-    ``timeout`` limits the exploration in two ways: a wall-clock
-    deadline of that many seconds covers all of its paths together,
-    and an instruction budget of ``timeout`` x `STEPS_PER_SECOND`
-    steps (at least 10,000) starts at the entry and is copied to each
-    forked path, so every path counts its steps from the entry.
+    The work is bounded by `STEP_BUDGET` instructions shared by all
+    paths of the function; ``timeout`` is only a wall-clock backstop,
+    a deadline of that many seconds for all of its paths together.
     """
 
     n: int = 4
@@ -243,15 +241,10 @@ class Config:
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
 
-    @property
-    def budget(self) -> int:
-        return max(10_000, int(self.timeout * STEPS_PER_SECOND))
-
 
 class ExecState:
     def __init__(self, graph: Dfg, pc: int, regs: dict[str, NodeRef],
-                 image: Optional[bytes], base: int, budget: int,
-                 depth: int):
+                 image: Optional[bytes], base: int, depth: int):
         self.graph = graph
         self.pc = pc
         self.regs = regs
@@ -259,7 +252,6 @@ class ExecState:
         self.backlog: dict[int, list[bool]] = {}
         self.call_stack: list[int] = []
         self.inline_depth_remaining = depth
-        self.budget_remaining = budget
         self.flag_source: Optional[tuple[NodeRef, NodeRef]] = None
         self.approx: set[str] = set()
         self.flags: set[str] = set()
@@ -273,8 +265,7 @@ class ExecState:
                 config: Config) -> "ExecState":
         g = Dfg()
         regs = {name: g.request_input(name) for name in arm.REG_NAMES}
-        return ExecState(g, entry, regs, image, base, config.budget,
-                         config.depth)
+        return ExecState(g, entry, regs, image, base, config.depth)
 
     def fork(self) -> "ExecState":
         s = ExecState.__new__(ExecState)
@@ -285,7 +276,6 @@ class ExecState:
         s.backlog = {e: list(d) for e, d in self.backlog.items()}
         s.call_stack = list(self.call_stack)
         s.inline_depth_remaining = self.inline_depth_remaining
-        s.budget_remaining = self.budget_remaining
         s.flag_source = self.flag_source
         s.approx = set(self.approx)
         s.flags = set(self.flags)
@@ -410,6 +400,8 @@ class Explorer:
         results: list[PathResult] = []
         deadline = time.monotonic() + config.timeout
         self._decoded = {}
+        self._steps_left = STEP_BUDGET
+        self._sp_input = first.regs["SP"]
 
         while stack:
             state = stack.pop()
@@ -419,12 +411,11 @@ class Explorer:
         return results
 
     def _finish(self, state: ExecState, status: Status) -> PathResult:
-        sp_input = state.graph.cons_table.get(
-            (NodeKind.INPUT, (), None, "SP", None, None))
         complete = status is Status.COMPLETE
         described = [(render_condition(state.graph, c), pol)
                      for c, pol in state.path_condition.facts]
-        roots = purge_roots(state.graph, state.regs, sp_input, complete)
+        roots = purge_roots(state.graph, state.regs, self._sp_input,
+                            complete)
         state.graph.purge(roots)
         return PathResult(state.graph, state.path_condition, status,
                           state.backlog, state.approx, state.flags,
@@ -437,13 +428,13 @@ class Explorer:
                    deadline: float) -> Optional[PathResult]:
         config = self.config
         while True:
-            if state.budget_remaining <= 0:
+            if self._steps_left <= 0:
                 state.flags.add("instruction budget exhausted")
                 return self._finish(state, Status.TIMEOUT)
             if state.steps % 256 == 0 and time.monotonic() > deadline:
                 state.flags.add("wall clock exceeded")
                 return self._finish(state, Status.TIMEOUT)
-            state.budget_remaining -= 1
+            self._steps_left -= 1
             state.steps += 1
 
             try:

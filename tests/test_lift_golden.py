@@ -89,7 +89,7 @@ def lift_record(image: bytes, address: int, base: int,
 
 def _entry(image: bytes, address: int, base: int) -> dict:
     ins = arm.decode(image, address, base)
-    return {"address": address, "text": ins.text(),
+    return {"address": address, "raw": f"{ins.raw:08x}",
             "plain": lift_record(image, address, base, False),
             "flagged": lift_record(image, address, base, True)}
 
@@ -112,7 +112,7 @@ def test_lifting_matches_golden():
     for group in ("battery", "extra"):
         assert len(got[group]) == len(want[group])
         for mine, ref in zip(got[group], want[group]):
-            assert mine == ref, f"{group}: {ref['text']}"
+            assert mine == ref, f"{group}: {ref['raw']}"
 
 
 if __name__ == "__main__":

@@ -434,15 +434,43 @@ def test_explore_aborts_on_symbolic_pc():
 
 
 def test_explore_budget_exhaustion(monkeypatch):
-    # at 1 instruction per second the instruction budget bottoms out at
-    # its floor long before the wall clock matters
-    monkeypatch.setattr(symexec, "STEPS_PER_SECOND", 1)
+    monkeypatch.setattr(symexec, "STEP_BUDGET", 10_000)
     image = assemble("loop: b loop")
     results = explore(0, image, Config(timeout=100.0))
     (r,) = results
     assert r.status is Status.TIMEOUT
-    assert "instruction budget exhausted" in r.flags
+    assert r.flags == {"instruction budget exhausted"}
     assert r.steps == 10_000
+
+
+def test_explore_budget_is_independent_of_timeout(monkeypatch):
+    # the step budget, not the machine's speed, ends this store loop,
+    # which never exits and grows the graph on every iteration, so a
+    # short and a long wall-clock backstop give the same path
+    monkeypatch.setattr(symexec, "STEP_BUDGET", 5_000)
+    image = assemble("loop:\nstr r1, [r0, r1, lsl #2]\n"
+                     "add r1, r1, #1\nb loop")
+    runs = []
+    for timeout in (5, 60):
+        (r,) = explore(0, image, Config(timeout=timeout))
+        runs.append((r.status, r.flags, r.steps, r.graph.serialize()))
+    assert runs[0] == runs[1]
+    assert runs[0][:3] == (Status.TIMEOUT,
+                           {"instruction budget exhausted"}, 5_000)
+
+
+def test_forked_paths_share_the_budget(monkeypatch):
+    # cmp and beq run once before the fork; whatever the two spinning
+    # paths step after it comes out of the same budget
+    monkeypatch.setattr(symexec, "STEP_BUDGET", 3_000)
+    image = assemble("cmp r0, #0\nbeq spin2\nspin1: b spin1\n"
+                     "spin2: b spin2")
+    results = explore(0, image, Config(timeout=60))
+    assert len(results) == 2
+    for r in results:
+        assert r.status is Status.TIMEOUT
+        assert r.flags == {"instruction budget exhausted"}
+    assert 2 + sum(r.steps - 2 for r in results) == 3_000
 
 
 def test_explore_wall_clock_timeout():
@@ -467,11 +495,6 @@ def test_fork_cap_bounds_live_states():
     assert any("fork cap reached" in r.flags for r in results)
     assert all(r.status is Status.COMPLETE for r in results)
     assert 8 <= len(results) < 2 ** 13
-
-
-def test_budget_scales_with_timeout():
-    assert Config(timeout=10).budget == 20_000_000
-    assert Config(timeout=0.001).budget == 10_000
 
 
 def test_config_rejects_bad_values():
