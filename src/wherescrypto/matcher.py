@@ -8,6 +8,7 @@ disagree on enumeration, never on acceptance.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -169,17 +170,51 @@ def _tag(node: Node) -> tuple:
             node.symbol if node.kind is NodeKind.INPUT else None)
 
 
-def _bits(mask: int) -> list[int]:
+def _bits(mask: int) -> Iterator[int]:
     """Positions of the set bits of `mask`, ascending."""
-    if mask.bit_count() * 6 > mask.bit_length():
-        # dense: one pass over the binary digits beats peeling bits
-        return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
-    out = []
     while mask:
         low = mask & -mask
-        out.append(low.bit_length() - 1)
+        yield low.bit_length() - 1
         mask ^= low
-    return out
+
+
+# A mask with at most this many bits is walked bit by bit; a denser one
+# is taken a byte at a time.
+_SPARSE = 16
+
+
+class _Table:
+    """One neighbor relation over a target graph: `rows[i]` is the set
+    of nodes related to node i.  `union(mask)` ORs the rows of the nodes
+    in `mask`.  A dense mask is read a byte at a time: `blocks[b]` maps
+    the byte value of bits 8b..8b+7 to the union of those rows, and is
+    filled the first time that value is asked for."""
+
+    def __init__(self, rows: list[int]):
+        self.rows = rows
+        self.width = (len(rows) + 7) // 8
+        self.blocks: list[dict[int, int]] = [{} for _ in range(self.width)]
+
+    def union(self, mask: int) -> int:
+        out = 0
+        rows = self.rows
+        if mask.bit_count() <= _SPARSE:
+            while mask:
+                low = mask & -mask
+                out |= rows[low.bit_length() - 1]
+                mask ^= low
+            return out
+        blocks = self.blocks
+        for b, byte in enumerate(mask.to_bytes(self.width, "little")):
+            if byte:
+                part = blocks[b].get(byte)
+                if part is None:
+                    part = 0
+                    for j in _bits(byte):
+                        part |= rows[8 * b + j]
+                    blocks[b][byte] = part
+                out |= part
+        return out
 
 
 class TargetIndex:
@@ -187,11 +222,11 @@ class TargetIndex:
     signature variant matched into it.
 
     Target nodes are numbered densely in ascending ref order, and a set
-    of them is a Python int whose bit i stands for `refs[i]`.  Per node
-    i, `args[i]` holds its operands and `users[i]` its consumers;
-    `args_at(pos)[i]` and `users_at(pos)[i]` restrict both to operand
-    position `pos`.  The graph must not change while the index is in
-    use.
+    of them is a Python int whose bit i stands for `refs[i]`.
+    `tables(pos)` gives the operand and consumer relations, restricted
+    to operand position `pos` or over every position for None; each is
+    built on first use.  The graph must not change while the index is
+    in use.
     """
 
     def __init__(self, target: Dfg):
@@ -200,42 +235,31 @@ class TargetIndex:
         bit = {ref: i for i, ref in enumerate(self.refs)}
         self._operands = [tuple(bit[r] for r in target.nodes[ref].inputs)
                           for ref in self.refs]
-        self.args: list[int] = []
-        self.users = [0] * len(self.refs)
         self._buckets: dict[tuple, int] = {}
         self._arity: dict[int, int] = {}
         for i, ref in enumerate(self.refs):
             one = 1 << i
-            mask = 0
-            for j in self._operands[i]:
-                mask |= 1 << j
-                self.users[j] |= one
-            self.args.append(mask)
             key = _tag(target.nodes[ref])
             self._buckets[key] = self._buckets.get(key, 0) | one
             arity = len(self._operands[i])
             self._arity[arity] = self._arity.get(arity, 0) | one
-        self._args_at: dict[int, list[int]] = {}
-        self._users_at: dict[int, list[int]] = {}
+        self._tables: dict[Optional[int], tuple[_Table, _Table]] = {}
         self._domains: dict[tuple, int] = {}
 
-    def args_at(self, pos: int) -> list[int]:
-        table = self._args_at.get(pos)
-        if table is None:
-            table = [1 << ops[pos] if pos < len(ops) else 0
-                     for ops in self._operands]
-            self._args_at[pos] = table
-        return table
-
-    def users_at(self, pos: int) -> list[int]:
-        table = self._users_at.get(pos)
-        if table is None:
-            table = [0] * len(self.refs)
+    def tables(self, pos: Optional[int]) -> tuple[_Table, _Table]:
+        """(operands, consumers) of every node, at operand position
+        `pos`, or at any position when `pos` is None."""
+        found = self._tables.get(pos)
+        if found is None:
+            args = [0] * len(self.refs)
+            users = [0] * len(self.refs)
             for i, ops in enumerate(self._operands):
-                if pos < len(ops):
-                    table[ops[pos]] |= 1 << i
-            self._users_at[pos] = table
-        return table
+                for p, j in enumerate(ops):
+                    if pos is None or p == pos:
+                        args[i] |= 1 << j
+                        users[j] |= 1 << i
+            found = self._tables[pos] = (_Table(args), _Table(users))
+        return found
 
     def domain(self, s: Node, subset: bool) -> int:
         """Target nodes passing the tag and arity conjuncts of the
@@ -259,8 +283,8 @@ class TargetIndex:
 
 # Per signature node, one (neighbor, own, theirs) per edge: target t
 # stays a candidate only while own[t] meets the neighbor's domain, and
-# a neighbor candidate u supports exactly the targets in theirs[u].
-_Links = dict[NodeRef, list[tuple[NodeRef, list[int], list[int]]]]
+# a neighbor candidate u supports exactly the targets in theirs.rows[u].
+_Links = dict[NodeRef, list[tuple[NodeRef, list[int], _Table]]]
 
 
 def _links(sig: SignatureGraph, index: TargetIndex) -> _Links:
@@ -268,12 +292,9 @@ def _links(sig: SignatureGraph, index: TargetIndex) -> _Links:
     for c_ref, c in sig.graph.nodes.items():
         ordered = _ordered(c)
         for pos, a in enumerate(c.inputs):
-            if ordered:
-                down, up = index.args_at(pos), index.users_at(pos)
-            else:
-                down, up = index.args, index.users
-            links[c_ref].append((a, down, up))
-            links[a].append((c_ref, up, down))
+            down, up = index.tables(pos if ordered else None)
+            links[c_ref].append((a, down.rows, up))
+            links[a].append((c_ref, up.rows, down))
     return links
 
 
@@ -296,30 +317,31 @@ def _refine(links: _Links, cands: dict[NodeRef, int]) -> bool:
 
     Runs as a first-in first-out worklist: when a candidate set
     shrinks, only the nodes whose support could depend on it are
-    re-examined.  Each neighbor constraint is applied by walking
-    whichever of the two domains is smaller; the survival test is
-    monotone, so the fixed point is the same either way."""
+    re-examined.  A sparse domain facing a larger neighbor domain is
+    checked candidate by candidate; otherwise it is intersected with
+    the union of the neighbor's support rows (`_Table.union`).  Both
+    keep exactly the candidates with a compatible neighbor, so every
+    intermediate domain, and the fixed point, is the same either way."""
     queue = deque(sorted(cands))
     queued = set(queue)
     while queue:
         s_ref = queue.popleft()
         queued.discard(s_ref)
         dom = cands[s_ref]
-        size = dom.bit_count()
         for nbr, own, theirs in links[s_ref]:
             other = cands[nbr]
-            if other.bit_count() < size:
-                support = 0
-                for u in _bits(other):
-                    support |= theirs[u]
-                dom &= support
+            size = dom.bit_count()
+            if size <= _SPARSE and size <= other.bit_count():
+                rest = dom
+                while rest:
+                    low = rest & -rest
+                    if not own[low.bit_length() - 1] & other:
+                        dom ^= low
+                    rest ^= low
             else:
-                for t in _bits(dom):
-                    if not own[t] & other:
-                        dom ^= 1 << t
+                dom &= theirs.union(other)
             if not dom:
                 return False
-            size = dom.bit_count()
         if dom != cands[s_ref]:
             cands[s_ref] = dom
             for nbr, _, _ in links[s_ref]:
@@ -338,12 +360,26 @@ def _search(sig: SignatureGraph, index: TargetIndex, links: _Links,
     collapsed as soon as the first structure around it is placed
     instead of being guessed at the end.
 
+    The pick is the unassigned node with the fewest candidates, lowest
+    ref first.  Nodes whose domain is down to one candidate wait in a
+    min-heap, `singles`, pushed when a domain narrows to one bit and
+    when backtracking unassigns them; an entry that is assigned or no
+    longer a singleton when it reaches the top is dropped.  Only when
+    no singleton is left are all unassigned nodes compared.
+    Injectivity only needs to prune the nodes whose refined domain
+    holds the chosen target, listed per target in `holders`.
+
     Domains are the int bitsets refinement leaves; candidates are tried
     in ascending bit order, which is ascending ref order.  The trail
     records each domain's value before a change, and backtracking
     restores them in reverse."""
     sig_nodes = sorted(sig.graph.nodes)
     dom = dict(cands)
+    holders: dict[int, list[NodeRef]] = {}
+    for r in sig_nodes:
+        for t in _bits(cands[r]):
+            holders.setdefault(t, []).append(r)
+    singles = [r for r in sig_nodes if dom[r].bit_count() == 1]
     m: dict[NodeRef, int] = {}
     trail: list[tuple[NodeRef, int]] = []
     found = 0
@@ -352,6 +388,8 @@ def _search(sig: SignatureGraph, index: TargetIndex, links: _Links,
         if new != dom[r]:
             trail.append((r, dom[r]))
             dom[r] = new
+            if new.bit_count() == 1:
+                heapq.heappush(singles, r)
         return bool(new)
 
     def assign(s_ref: NodeRef, t: int) -> bool:
@@ -359,11 +397,19 @@ def _search(sig: SignatureGraph, index: TargetIndex, links: _Links,
             if nbr not in m and not narrow(nbr, dom[nbr] & own[t]):
                 return False
         bit = 1 << t
-        for r in sig_nodes:
+        for r in holders[t]:
             if r != s_ref and r not in m and dom[r] & bit:
                 if not narrow(r, dom[r] ^ bit):
                     return False
         return True
+
+    def pick() -> NodeRef:
+        while singles:
+            r = heapq.heappop(singles)
+            if r not in m and dom[r].bit_count() == 1:
+                return r
+        return min((dom[r].bit_count(), r)
+                   for r in sig_nodes if r not in m)[1]
 
     def step() -> Iterator[Mapping]:
         nonlocal found
@@ -377,8 +423,7 @@ def _search(sig: SignatureGraph, index: TargetIndex, links: _Links,
                 found += 1
                 yield mapping
             return
-        _, s_ref = min((dom[r].bit_count(), r)
-                       for r in sig_nodes if r not in m)
+        s_ref = pick()
         for t in _bits(dom[s_ref]):
             m[s_ref] = t
             mark = len(trail)
@@ -389,7 +434,9 @@ def _search(sig: SignatureGraph, index: TargetIndex, links: _Links,
                 dom[r] = old
             del m[s_ref]
             if found >= limit:
-                return
+                break
+        if dom[s_ref].bit_count() == 1:
+            heapq.heappush(singles, s_ref)
 
     yield from step()
 

@@ -1,5 +1,6 @@
-"""Shared test utilities: randomized NodeSpec sequence driver and
-signature/target pair generators for the matcher-versus-oracle battery.
+"""Shared test utilities: randomized NodeSpec sequence driver,
+signature/target pair generators for the matcher-versus-oracle battery,
+and a plain reference matcher with generators for large targets.
 
 Used by both the unit property tests and the acceptance suite.  The
 spec generator sticks to structural node kinds: OPAQUE and CALL mint a
@@ -13,6 +14,8 @@ from __future__ import annotations
 import random
 
 from wherescrypto.dfg import COMMUTATIVE, Dfg, NodeKind, NodeSpec
+from wherescrypto.matcher import (Mapping, _assignment_ok, _node_tag_ok,
+                                  _ordered, _subset_arity)
 from wherescrypto.sigdsl import SignatureGraph
 
 _BINARY = [NodeKind.SHL, NodeKind.SHR, NodeKind.ROTATE, NodeKind.SUB]
@@ -181,3 +184,209 @@ def random_target(rng: random.Random, sig: SignatureGraph) -> Dfg:
             refs.append(_grow(g, rng, refs, clamp_sink))
         if 1 <= len(g.nodes) <= 14:
             return g
+
+
+# ----------------------------------------------------------------------
+# a plain reference for matching into graphs beyond the oracle's reach
+
+
+def _reference_links(sig: SignatureGraph, target: Dfg, refs: list[int]):
+    """Per signature node, (neighbor, own) per edge, where own[t] is the
+    set of target nodes (as a bitset) that may stand for the neighbor
+    when target t stands for the node."""
+    bit = {ref: i for i, ref in enumerate(refs)}
+    links = {r: [] for r in sig.graph.nodes}
+    for c_ref, c in sig.graph.nodes.items():
+        ordered = _ordered(c)
+        for pos, a in enumerate(c.inputs):
+            down = [0] * len(refs)
+            up = [0] * len(refs)
+            for i, ref in enumerate(refs):
+                for p, arg in enumerate(target.nodes[ref].inputs):
+                    if not ordered or p == pos:
+                        down[i] |= 1 << bit[arg]
+                        up[bit[arg]] |= 1 << i
+            links[c_ref].append((a, down))
+            links[a].append((c_ref, up))
+    return links
+
+
+def reference_domains(sig: SignatureGraph, target: Dfg):
+    """Refined candidate domains, as bitsets over the target's refs in
+    ascending order, or None when one runs empty.
+
+    Domains start from the tag and arity conjuncts of the predicate.
+    Refinement sweeps every node until nothing changes: target t stays
+    a candidate while own[t] meets the neighbor's domain on every
+    link."""
+    refs = sorted(target.nodes)
+    dom = {}
+    for s_ref in sorted(sig.graph.nodes):
+        s = sig.graph.node(s_ref)
+        wide = _subset_arity(sig, s_ref, s)
+        dom[s_ref] = sum(
+            1 << i for i, ref in enumerate(refs)
+            if _node_tag_ok(s, target.node(ref))
+            and (len(target.node(ref).inputs) >= len(s.inputs) if wide
+                 else len(target.node(ref).inputs) == len(s.inputs)))
+    links = _reference_links(sig, target, refs)
+    changed = True
+    while changed:
+        changed = False
+        for s_ref in dom:
+            for nbr, own in links[s_ref]:
+                keep = sum(1 << t for t in range(len(refs))
+                           if dom[s_ref] >> t & 1 and own[t] & dom[nbr])
+                if keep != dom[s_ref]:
+                    dom[s_ref] = keep
+                    changed = True
+            if not dom[s_ref]:
+                return None
+    return dom
+
+
+def reference_match(sig: SignatureGraph, target: Dfg,
+                    limit: int) -> list[Mapping]:
+    """`match_signature` restated from its definition, for any size.
+
+    From the domains of `reference_domains`, the search picks the
+    unassigned node with the least (candidate count, ref), tries its
+    candidates in ascending ref order, narrows each unassigned neighbor
+    to own[t], removes t from every other unassigned domain, and
+    backtracks on an empty domain."""
+    dom = reference_domains(sig, target)
+    if dom is None:
+        return []
+    refs = sorted(target.nodes)
+    sig_nodes = sorted(sig.graph.nodes)
+    links = _reference_links(sig, target, refs)
+
+    out: list[Mapping] = []
+    m: dict[int, int] = {}
+
+    def step(dom: dict[int, int]) -> None:
+        if len(out) >= limit:
+            return
+        if len(m) == len(sig_nodes):
+            mapping = _assignment_ok(
+                sig, target, {s: refs[t] for s, t in m.items()})
+            if mapping is not None:
+                out.append(mapping)
+            return
+        _, s_ref = min((dom[r].bit_count(), r)
+                       for r in sig_nodes if r not in m)
+        for t in range(len(refs)):
+            if not dom[s_ref] >> t & 1:
+                continue
+            m[s_ref] = t
+            narrowed = dict(dom)
+            for nbr, own in links[s_ref]:
+                if nbr not in m:
+                    narrowed[nbr] &= own[t]
+            for r in sig_nodes:
+                if r not in m:
+                    narrowed[r] &= ~(1 << t)
+            if all(narrowed[r] for r in sig_nodes if r not in m):
+                step(narrowed)
+            del m[s_ref]
+            if len(out) >= limit:
+                return
+
+    step(dom)
+    return out
+
+
+def _embed(g: Dfg, rng: random.Random, sig: SignatureGraph,
+           decoy: bool) -> list[int]:
+    """One copy of `sig` in `g`, built as `random_target` builds its
+    embeddings, some commutative nodes widened.  A decoy rewires one
+    operand of one node to a fresh input, so refinement has to strip
+    the nodes that lean on it."""
+    inner = [r for r, n in sig.graph.nodes.items() if n.inputs]
+    broken = rng.choice(inner) if decoy and inner else None
+    m: dict[int, int] = {}
+    for s_ref in sorted(sig.graph.nodes):
+        node = sig.graph.node(s_ref)
+        ins = [m[i] for i in node.inputs]
+        if s_ref == broken:
+            ins[rng.randrange(len(ins))] = g.request_input(
+                f"D{rng.randrange(1000)}")
+        if node.kind is NodeKind.OPAQUE:
+            if not ins and rng.random() < 0.5:
+                m[s_ref] = (g.request_input(f"X{rng.randrange(40)}")
+                            if rng.random() < 0.7 else
+                            g.request_constant(rng.randint(0, 7)))
+            else:
+                m[s_ref] = g.request_opaque(tuple(ins))
+        elif node.kind is NodeKind.CONST:
+            m[s_ref] = g.request_constant(node.const_value)
+        elif node.kind is NodeKind.INPUT:
+            m[s_ref] = g.request_input(node.symbol)
+        elif node.kind is NodeKind.LOAD:
+            m[s_ref] = g.request_load(ins[0])
+        else:
+            if node.kind in COMMUTATIVE and rng.random() < 0.2:
+                ins.append(g.request_input(f"N{rng.randrange(40)}"))
+            m[s_ref] = g.request_operation(NodeSpec(node.kind, tuple(ins)))
+    return list(m.values())
+
+
+def _orphan(g: Dfg, rng: random.Random, sig: SignatureGraph,
+            refs: list[int]) -> int:
+    """A node of the kind and arity of some operation in `sig`, over
+    random earlier nodes and with no consumer yet: a candidate that
+    refinement must drop when the signature wants a consumer for it."""
+    ops = [n for n in sig.graph.nodes.values()
+           if n.inputs and n.kind is not NodeKind.OPAQUE]
+    if not ops:
+        return _grow(g, rng, refs, {})
+    node = rng.choice(ops)
+    if node.kind is NodeKind.LOAD:
+        return g.request_load(rng.choice(refs))
+    ins = [rng.choice(refs) for _ in node.inputs]
+    if node.kind in (NodeKind.SHL, NodeKind.SHR, NodeKind.ROTATE):
+        ins[1] = sig.graph.node(node.inputs[1]).const_value
+        ins[1] = g.request_constant(ins[1] if ins[1] is not None
+                                    else rng.randint(1, 31))
+    return g.request_operation(NodeSpec(node.kind, tuple(ins)))
+
+
+def copies_target(rng: random.Random, sig: SignatureGraph,
+                  size: int) -> Dfg:
+    """A target of at least `size` nodes: a few or many copies of `sig`,
+    some of them decoys (see `_embed`), random noise over their nodes,
+    and a SUB chain that only wildcards can match as filler."""
+    g = Dfg()
+    refs: list[int] = []
+    clamp_sink: dict[int, str] = {}
+    copies = rng.choice((rng.randint(1, 6), size))
+    for _ in range(copies):
+        if len(g.nodes) >= size:
+            break
+        refs.extend(_embed(g, rng, sig, rng.random() < 0.3))
+        for _ in range(rng.randint(0, 3)):
+            refs.append(_grow(g, rng, refs, clamp_sink))
+        for _ in range(rng.randint(0, 2)):
+            refs.append(_orphan(g, rng, sig, refs))
+    filler = g.request_input("F")
+    while len(g.nodes) < size:
+        filler = g.request_operation(NodeSpec(
+            NodeKind.SUB, (filler, g.request_input(f"F{len(g.nodes)}"))))
+    return g
+
+
+def chain_signature(rng: random.Random, steps: int) -> SignatureGraph:
+    """A long chain h := ROTATE(XOR(h, k), r), now and then through a
+    load, with a distinct constant k per step: in a self-match every
+    node has exactly one candidate after refinement."""
+    g = Dfg()
+    h = g.request_input("H")
+    for i in range(steps):
+        k = g.request_constant(0x1000 + i)
+        h = g.request_operation(NodeSpec(NodeKind.XOR, (h, k)))
+        if rng.random() < 0.2:
+            h = g.request_load(h)
+        r = g.request_constant(rng.randint(1, 31))
+        h = g.request_operation(NodeSpec(NodeKind.ROTATE, (h, r)))
+    g.purge([h])
+    return SignatureGraph(g)

@@ -9,13 +9,17 @@ import random
 
 import pytest
 
-from helpers import random_signature, random_target
+from helpers import (chain_signature, copies_target, random_signature,
+                     random_target, reference_domains, reference_match)
 from wherescrypto.asm import assemble
 from wherescrypto.dfg import COMMUTATIVE, Dfg, NodeKind, NodeSpec
 from wherescrypto.matcher import (
     BlockPermReport,
     SizeLimitError,
     TargetIndex,
+    _initial_candidates,
+    _links,
+    _refine,
     brute_force_match,
     classify_block_permutation,
     match_signature,
@@ -253,6 +257,47 @@ def test_shared_index_agrees_with_oracle_battery():
             if expected:
                 positives += 1
     assert positives >= 40
+
+
+def test_matcher_agrees_with_reference_on_large_targets():
+    # targets of 200-700 nodes, far past the exhaustive oracle: the
+    # refined domains, the mappings and their order must be the
+    # reference's, up to the limit
+    rng = random.Random(20261101)
+    dense = limited = 0
+    for case in range(40):
+        sig = random_signature(rng)
+        target = copies_target(rng, sig, rng.randint(200, 700))
+        want = [m.assignment for m in reference_match(sig, target, 64)]
+        got = [m.assignment for m in match_signature(sig, target, 64)]
+        assert got == want, (
+            f"case {case}: {len(got)} vs {len(want)} mappings\nsig:\n"
+            f"{sig.graph.serialize()}")
+        index = TargetIndex(target)
+        cands = _initial_candidates(sig, index)
+        if cands and max(c.bit_count() for c in cands.values()) > 64:
+            dense += 1
+        if cands and not _refine(_links(sig, index), cands):
+            cands = None
+        assert cands == reference_domains(sig, target), f"case {case}"
+        if len(want) == 64:
+            limited += 1
+    assert dense >= 15
+    assert limited >= 8
+
+
+def test_long_chain_self_match_agrees_with_reference():
+    # every domain is a singleton after refinement, so the search only
+    # ever picks from singletons
+    rng = random.Random(7)
+    for steps in (40, 90, 130):
+        sig = chain_signature(rng, steps)
+        want = reference_match(sig, sig.graph, 64)
+        got = match_signature(sig, sig.graph, 64)
+        assert [m.assignment for m in got] == \
+            [m.assignment for m in want]
+        assert [m.assignment for m in got] == \
+            [{r: r for r in sig.graph.nodes}]
 
 
 def test_index_of_another_graph_is_rejected():
