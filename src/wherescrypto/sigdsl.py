@@ -116,6 +116,10 @@ _OP_KEYWORDS = ("STORE", "LOAD", "XOR", "OR", "AND", "MULT", "ROTATE")
 _ARITY = {"STORE": (2, 2), "LOAD": (1, 1), "ROTATE": (2, 2),
           "XOR": (2, None), "OR": (2, None), "AND": (2, None),
           "MULT": (2, None)}
+# Parentheses, operation calls, wildcard operands and shift chains nest
+# expressions; deeper nesting is a ParseError, not a recursion overflow
+# in the parser or in the code that walks the tree.
+MAX_NESTING = 64
 _RESERVED = set(_OP_KEYWORDS) | {"OPAQUE", "TRANSIENT", "IDENTIFIER",
                                  "VARIANT"}
 
@@ -160,6 +164,12 @@ def _tokenize(body: list[tuple[int, str]]) -> list[_Token]:
             tok = m.group()
             col = m.start() + 1
             if kind in ("hex", "dec"):
+                # a 32-bit literal has at most 8 hex or 10 decimal
+                # digits; longer ones are refused before conversion
+                digits = tok[2:] if kind == "hex" else tok
+                if len(digits.lstrip("0")) > (8 if kind == "hex" else 10):
+                    raise ParseError(line_no, col,
+                                     ("a 32-bit literal",), tok)
                 value = int(tok, 16 if kind == "hex" else 10)
                 if value >= 1 << 32:
                     raise ParseError(line_no, col,
@@ -182,6 +192,7 @@ class _Parser:
         self.pos = 0
         self.end_line = end_line
         self.labels: set[str] = set()
+        self.depth = 0
 
     def _peek(self) -> Optional[_Token]:
         if self.pos < len(self.tokens):
@@ -238,22 +249,34 @@ class _Parser:
             self.labels.add(label)
         return Statement(transient, label, expr)
 
+    def _nest(self) -> None:
+        if self.depth == MAX_NESTING:
+            raise self._fail((f"an expression nested at most "
+                              f"{MAX_NESTING} deep",))
+        self.depth += 1
+
     def _expr(self) -> Expr:
+        self._nest()
         terms = [self._shift()]
         while self._peek() is not None and self._peek().kind == "+":
             self.pos += 1
             terms.append(self._shift())
+        self.depth -= 1
         if len(terms) == 1:
             return terms[0]
         return Infix("+", tuple(terms))
 
     def _shift(self) -> Expr:
+        # a chain of shifts nests one level per operator
+        start = self.depth
         node = self._atom()
         while (self._peek() is not None
                and self._peek().kind in ("<<", ">>")):
+            self._nest()
             op = self.tokens[self.pos].kind
             self.pos += 1
             node = Infix(op, (node, self._atom()))
+        self.depth = start
         return node
 
     def _atom(self) -> Expr:

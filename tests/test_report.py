@@ -5,6 +5,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wherescrypto.report as report_mod
 from wherescrypto.report import (
@@ -153,6 +155,34 @@ def test_load_entries_rejects_negative(tmp_path):
     path = entries_file(tmp_path, "-4\n")
     with pytest.raises(MalformedLineError):
         load_entries(path)
+
+
+_ENTRY_PIECES = ["0x", "0X", "-", "+", "_", "#", " ", "\t", "\n", "\r",
+                 "\r\n", "\x00", "\x0c", "\u00a0", "\u0663", "1000",
+                 "ffffffff", "g", "0x" + "f" * 600]
+
+
+@pytest.fixture(scope="module")
+def entries_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("entries") / "entries.txt"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.one_of(st.sampled_from(_ENTRY_PIECES),
+                       st.text(alphabet="0123456789abcdefABCDEF",
+                               max_size=12),
+                       st.text(max_size=3)),
+             max_size=40).map(lambda parts: "".join(parts).encode())))
+def test_load_entries_raises_only_documented_errors(entries_path, data):
+    entries_path.write_bytes(data)
+    try:
+        got = load_entries(entries_path)
+    except (MalformedLineError, UnicodeDecodeError):
+        return
+    assert got == sorted(set(got))
+    assert all(isinstance(a, int) and a >= 0 for a in got)
 
 
 # --- analysis ----------------------------------------------------------

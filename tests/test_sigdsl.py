@@ -6,9 +6,12 @@ each shift-register layer contributes exactly four nodes.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wherescrypto.dfg import NodeKind
 from wherescrypto.sigdsl import (
+    MAX_NESTING,
     ArityError,
     Infix,
     LabelRef,
@@ -237,6 +240,37 @@ def test_parse_arity_errors():
         parse("IDENTIFIER t\nVARIANT a\nx: XOR(1);")
 
 
+def test_parse_error_long_decimal_literal():
+    # refused by length, before the string is converted at all
+    err = _err("IDENTIFIER t\nVARIANT a\nx: " + "9" * 5000 + ";")
+    assert err.expected == ("a 32-bit literal",)
+    doc = parse("IDENTIFIER t\nVARIANT a\nx: 0x" + "0" * 40 + "1;")
+    assert doc.variants[0].statements[0].expr == Literal(1)
+
+
+@pytest.mark.parametrize("opener", ["(", "XOR(1, ", "OPAQUE("])
+def test_parse_nesting_is_bounded(opener):
+    def nested(depth: int) -> str:
+        return ("IDENTIFIER t\nVARIANT a\nx: " + opener * depth + "1"
+                + ")" * depth + ";")
+
+    parse(nested(MAX_NESTING - 1))
+    err = _err(nested(MAX_NESTING))
+    assert "nested at most" in str(err)
+    _err(nested(5000))
+
+
+def test_parse_shift_chain_counts_as_nesting():
+    # a << b << c is ((a << b) << c): each operator is one more level,
+    # and the tree is walked recursively when it is built or printed
+    head = "IDENTIFIER t\nVARIANT a\nx: OPAQUE"
+    doc = parse(head + "<<1" * (MAX_NESTING - 1) + ";")
+    build_variant(doc.variants[0])
+    print_doc(doc)
+    _err(head + "<<1" * MAX_NESTING + ";")
+    _err(head + ">>1" * 5000 + ";")
+
+
 # ----------------------------------------------------------- printing
 
 
@@ -265,6 +299,60 @@ def test_print_preserves_precedence_with_parentheses():
     doc = parse("IDENTIFIER t\nVARIANT a\n"
                 "x: (1 + 2) << 3;\ny: 1 << (2 << 3);")
     assert parse(print_doc(doc)) == doc
+
+
+# ------------------------------------------------- parse contract
+
+
+_DSL_PIECES = ["IDENTIFIER", "VARIANT", "TRANSIENT", "OPAQUE", "XOR", "OR",
+               "AND", "MULT", "ROTATE", "LOAD", "STORE", "x", "lab", "t",
+               "(", ")", "<", ">", "<<", ">>", ",", ":", ";", "+", "#",
+               " ", "\t", "\n", "\r\n", "\x0b", "\u00a0", "@", "0x",
+               "1", "0xFFFFFFFF", "4294967296", "007"]
+
+
+def _dsl_soup():
+    piece = st.one_of(
+        st.sampled_from(_DSL_PIECES),
+        st.text(alphabet="0123456789", min_size=1, max_size=6000),
+        st.text(max_size=4))
+    return st.lists(piece, max_size=60).map("".join)
+
+
+def _nested_text():
+    opener = st.sampled_from(["(", "XOR(1,", "OPAQUE(", "OPAQUE<t>(",
+                              "LOAD("])
+    return st.builds(
+        lambda o, d, shifts, close: "IDENTIFIER t\nVARIANT a\nx: "
+        + o * d + "1" + "<<1" * shifts + ")" * close + ";",
+        opener, st.integers(0, 3000), st.integers(0, 3000),
+        st.integers(0, 3000))
+
+
+def _edited_document():
+    def edit(text: str, edits) -> str:
+        chars = list(text)
+        for at, insert in edits:
+            at %= len(chars) + 1
+            chars[at:at + (0 if insert else 1)] = list(insert)
+        return "".join(chars)
+
+    return st.builds(edit, st.sampled_from(ROUND_TRIP_DOCS),
+                     st.lists(st.tuples(st.integers(0, 400),
+                                        st.sampled_from(_DSL_PIECES + [""])),
+                              min_size=1, max_size=6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_dsl_soup(), _nested_text(), _edited_document(),
+                 st.text(max_size=200)))
+def test_parse_raises_only_documented_errors(text):
+    header = "IDENTIFIER t\nVARIANT a\n"
+    for candidate in (text, header + text):
+        try:
+            parse(candidate)
+        except (ParseError, ArityError):
+            pass
 
 
 # ----------------------------------------------------------- building
