@@ -438,7 +438,13 @@ def _search(sig: SignatureGraph, index: TargetIndex, links: _Links,
         if dom[s_ref].bit_count() == 1:
             heapq.heappush(singles, s_ref)
 
-    yield from step()
+    try:
+        yield from step()
+    finally:
+        # step reaches itself through its closure; breaking that cycle
+        # frees the domains, and with them the index, right away
+        # instead of at the next cyclic collection
+        del step
 
 
 def match_signature(sig: SignatureGraph, target: Dfg,

@@ -5,7 +5,9 @@ pairs; the directed cases below pin down individual rules of the
 compatibility predicate with counts worked out by hand.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -298,6 +300,21 @@ def test_long_chain_self_match_agrees_with_reference():
             [m.assignment for m in want]
         assert [m.assignment for m in got] == \
             [{r: r for r in sig.graph.nodes}]
+
+
+def test_matching_leaves_no_cycle_holding_the_index():
+    # the report keeps one index alive at a time; a reference cycle
+    # through the search would keep each until a cyclic collection
+    sig = sig_from(SHIFT_REGISTER)
+    index = TargetIndex(sig.graph)
+    alive = weakref.ref(index)
+    gc.disable()
+    try:
+        assert match_signature(sig, sig.graph, index=index)
+        del index
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_index_of_another_graph_is_rejected():
