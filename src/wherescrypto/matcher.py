@@ -261,13 +261,13 @@ class TargetIndex:
             found = self._tables[pos] = (_Table(args), _Table(users))
         return found
 
-    def domain(self, s: Node, subset: bool) -> int:
+    def domain(self, key: tuple) -> int:
         """Target nodes passing the tag and arity conjuncts of the
-        predicate for signature node `s`."""
-        arity = len(s.inputs)
-        key = _tag(s) + (subset, arity)
+        predicate for a signature node with domain key `key`
+        (`_domain_key`)."""
         found = self._domains.get(key)
         if found is None:
+            kind, _, _, subset, arity = key
             if subset:
                 shape = 0
                 for n, mask in self._arity.items():
@@ -275,7 +275,7 @@ class TargetIndex:
                         shape |= mask
             else:
                 shape = self._arity.get(arity, 0)
-            if s.kind is not NodeKind.OPAQUE:
+            if kind is not NodeKind.OPAQUE:
                 shape &= self._buckets.get(key[:3], 0)
             found = self._domains[key] = shape
         return found
@@ -298,16 +298,37 @@ def _links(sig: SignatureGraph, index: TargetIndex) -> _Links:
     return links
 
 
+def _domain_key(sig: SignatureGraph, ref: NodeRef, node: Node) -> tuple:
+    """What the tag and arity conjuncts of the predicate read of a
+    signature node: its `_tag`, whether it may match a wider target
+    node (`_subset_arity`), and its arity."""
+    return _tag(node) + (_subset_arity(sig, ref, node), len(node.inputs))
+
+
+def _plan(sig: SignatureGraph) -> tuple:
+    """The target-independent part of `_initial_candidates`, worked
+    out on first use and kept in ``sig.plan``: each node with its
+    domain key, in node order, and the distinct keys."""
+    if sig.plan is None:
+        nodes = tuple((ref, _domain_key(sig, ref, node))
+                      for ref, node in sig.graph.nodes.items())
+        sig.plan = (nodes, tuple(dict.fromkeys(key for _, key in nodes)))
+    return sig.plan
+
+
 def _initial_candidates(sig: SignatureGraph,
                         index: TargetIndex) -> Optional[dict[NodeRef, int]]:
     """Candidate domains from the tag and arity conjuncts alone, or
-    None as soon as one of them is empty."""
-    cands: dict[NodeRef, int] = {}
-    for s_ref, s in sig.graph.nodes.items():
-        cands[s_ref] = index.domain(s, _subset_arity(sig, s_ref, s))
-        if not cands[s_ref]:
+    None when one of them is empty.  Nodes with the same domain key
+    share a domain, so each distinct key is looked up once, before any
+    domain is handed out."""
+    nodes, keys = _plan(sig)
+    domains = {}
+    for key in keys:
+        domains[key] = index.domain(key)
+        if not domains[key]:
             return None
-    return cands
+    return {ref: domains[key] for ref, key in nodes}
 
 
 def _refine(links: _Links, cands: dict[NodeRef, int]) -> bool:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 from .dfg import Dfg, NodeKind, NodeRef, NodeSpec
@@ -104,6 +105,12 @@ class Statement:
 class VariantDef:
     name: str
     statements: tuple[Statement, ...]
+
+    @cached_property
+    def _built(self) -> "SignatureGraph":
+        """The variant's graph, built on first use and kept as long as
+        the variant; see `build_variant`."""
+        return _build(self)
 
 
 @dataclass(frozen=True)
@@ -467,9 +474,18 @@ def print_doc(doc: SignatureDoc) -> str:
 
 @dataclass
 class SignatureGraph:
+    """A signature variant as a normalized graph, with the refs of its
+    clamped wildcards and of its transient statements.
+
+    Read-only once built: `build_variant` hands the same object to
+    every caller, and the matcher keeps its per-signature set-up in
+    ``plan``, which it fills on first use."""
+
     graph: Dfg
     clamp_labels: dict[NodeRef, str] = field(default_factory=dict)
     transient_set: set[NodeRef] = field(default_factory=set)
+    plan: Optional[tuple] = field(default=None, init=False, repr=False,
+                                  compare=False)
 
 
 _OPCALL_KIND = {"XOR": NodeKind.XOR, "OR": NodeKind.OR,
@@ -513,6 +529,13 @@ def _build_expr(g: Dfg, expr: Expr, labels: dict[str, NodeRef],
 
 
 def build_variant(v: VariantDef) -> SignatureGraph:
+    """The graph of `v`, built once per variant object: every call on
+    the same `VariantDef` returns the same, read-only `SignatureGraph`.
+    A variant that fails to build raises again on the next call."""
+    return v._built
+
+
+def _build(v: VariantDef) -> SignatureGraph:
     g = Dfg()
     labels: dict[str, NodeRef] = {}
     clamp_map: dict[NodeRef, str] = {}

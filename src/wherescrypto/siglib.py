@@ -13,6 +13,7 @@ printed form of the depth-8 ladder.
 
 from __future__ import annotations
 
+import functools
 from importlib import resources
 from pathlib import Path
 
@@ -36,10 +37,12 @@ class UnknownSignatureError(KeyError):
 
 
 class SignatureFileError(ValueError):
-    """A ``.sig`` file that is not UTF-8 or does not parse; the message
-    names the file, then the cause."""
+    """A signature path that cannot be used: a ``.sig`` file that is not
+    UTF-8 or does not parse, or a directory that does not exist, is not
+    a directory or holds no ``.sig`` file.  The message names the path,
+    then the cause."""
 
-    def __init__(self, path: Path, cause: Exception):
+    def __init__(self, path: Path, cause: Exception | str):
         super().__init__(f"{path}: {cause}")
         self.path = path
 
@@ -63,19 +66,35 @@ def signature_source(name: str) -> str:
         raise UnknownSignatureError(name) from None
 
 
+@functools.cache
 def load_builtin(name: str) -> SignatureDoc:
+    """A built-in document, parsed once per process: the package data
+    cannot change while it runs.  The document is shared by every
+    caller and is read-only, as are the graphs built from its variants
+    (`sigdsl.build_variant`)."""
     return parse(signature_source(name))
 
 
 def load_catalog() -> dict[str, SignatureDoc]:
+    """Every built-in document by name, in a new dict on each call; the
+    documents themselves are shared (`load_builtin`)."""
     return {name: load_builtin(name) for name in builtin_names()}
 
 
 def load_signature_dir(path: Path) -> dict[str, SignatureDoc]:
-    """Parses every ``*.sig`` file in a directory, keyed by file stem.
-    A file that fails raises `SignatureFileError` naming it."""
+    """Parses every ``*.sig`` file in a directory, keyed by file stem,
+    afresh on each call.  Raises `SignatureFileError` naming the file
+    that fails, or naming `path` when it is missing, is not a directory
+    or holds no ``.sig`` file."""
+    if not path.exists():
+        raise SignatureFileError(path, "no such directory")
+    if not path.is_dir():
+        raise SignatureFileError(path, "not a directory")
+    entries = sorted(path.glob("*.sig"))
+    if not entries:
+        raise SignatureFileError(path, "no .sig files in the directory")
     docs = {}
-    for entry in sorted(path.glob("*.sig")):
+    for entry in entries:
         try:
             docs[entry.stem] = parse(entry.read_text(encoding="utf-8"))
         except (UnicodeDecodeError, ParseError, ArityError) as exc:

@@ -211,14 +211,10 @@ def _reference_links(sig: SignatureGraph, target: Dfg, refs: list[int]):
     return links
 
 
-def reference_domains(sig: SignatureGraph, target: Dfg):
-    """Refined candidate domains, as bitsets over the target's refs in
-    ascending order, or None when one runs empty.
-
-    Domains start from the tag and arity conjuncts of the predicate.
-    Refinement sweeps every node until nothing changes: target t stays
-    a candidate while own[t] meets the neighbor's domain on every
-    link."""
+def reference_initial_domains(sig: SignatureGraph, target: Dfg):
+    """Candidate domains from the tag and arity conjuncts of the
+    predicate alone, as bitsets over the target's refs in ascending
+    order, for every signature node in ascending ref order."""
     refs = sorted(target.nodes)
     dom = {}
     for s_ref in sorted(sig.graph.nodes):
@@ -229,6 +225,18 @@ def reference_domains(sig: SignatureGraph, target: Dfg):
             if _node_tag_ok(s, target.node(ref))
             and (len(target.node(ref).inputs) >= len(s.inputs) if wide
                  else len(target.node(ref).inputs) == len(s.inputs)))
+    return dom
+
+
+def reference_domains(sig: SignatureGraph, target: Dfg):
+    """Refined candidate domains, as bitsets over the target's refs in
+    ascending order, or None when one runs empty.
+
+    Domains start from `reference_initial_domains`.  Refinement sweeps
+    every node until nothing changes: target t stays a candidate while
+    own[t] meets the neighbor's domain on every link."""
+    refs = sorted(target.nodes)
+    dom = reference_initial_domains(sig, target)
     links = _reference_links(sig, target, refs)
     changed = True
     while changed:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from wherescrypto import cli
+from wherescrypto import cli, report, sigdsl, siglib
 from wherescrypto.asm import assemble, label_addresses
 from wherescrypto.cli import main
 from wherescrypto.siglib import builtin_names, signature_source
@@ -214,3 +214,94 @@ def test_empty_entry_file_runs_clean(workspace, tmp_path):
     data = run_json(image, empty, out)
     assert data["functions"] == []
     assert data["totals"]["functions"] == 0
+
+
+def test_unusable_signature_path_exits_2(workspace, tmp_path, capsys):
+    # each of these used to scan with an empty catalog and exit 0
+    _root, image, entries = workspace
+    plain = tmp_path / "plain.sig"
+    plain.write_text(signature_source("nlfsr"))
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "notes.txt").write_text("no signatures here")
+    for path in (tmp_path / "missing", plain, empty):
+        assert main(["--image", str(image), "--entries", str(entries),
+                     "--signatures", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "Traceback" not in err
+
+
+@pytest.fixture
+def fresh_catalog():
+    # the built-in documents, and the graphs built from their variants,
+    # live as long as the process; start and end with none of them kept
+    siglib.load_builtin.cache_clear()
+    yield
+    siglib.load_builtin.cache_clear()
+
+
+def _spy(monkeypatch, owner, attr: str) -> list:
+    """Replaces owner.attr with a wrapper that records (args, result)
+    of each call, and returns the record."""
+    calls = []
+    original = getattr(owner, attr)
+
+    def spy(*args):
+        result = original(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(owner, attr, spy)
+    return calls
+
+
+def test_catalog_parsed_and_built_once_per_process(workspace, fresh_catalog,
+                                                   monkeypatch):
+    root, image, entries = workspace
+    parsed = _spy(monkeypatch, siglib, "parse")
+    built = _spy(monkeypatch, sigdsl, "_build")
+    loads = _spy(monkeypatch, cli, "load_catalog")
+    builds = _spy(monkeypatch, report, "build_variant")
+    first = run_json(image, entries, root / "once-a.json")
+    second = run_json(image, entries, root / "once-b.json")
+    catalog = siglib.load_catalog()
+    variants = [v for doc in catalog.values() for v in doc.variants]
+    # each document parsed once, each variant built once ...
+    assert sorted(doc.identifier for _, doc in parsed) == \
+        sorted(doc.identifier for doc in catalog.values())
+    assert [args[0] for args, _ in built] == variants
+    # ... while every scan still loads the catalog and asks for every
+    # variant, and gets the same objects
+    assert len(loads) == 2
+    assert loads[0][1] == loads[1][1] == catalog
+    assert loads[0][1] is not loads[1][1]
+    assert len(builds) == 2 * len(variants)
+    assert [id(sig) for _, sig in builds] == \
+        2 * [id(sig) for _, sig in built]
+    first.pop("timestamp")
+    second.pop("timestamp")
+    assert first == second
+
+
+def test_signature_dir_reread_on_every_scan(workspace, tmp_path, capsys):
+    _root, image, entries = workspace
+    sigdir = tmp_path / "sigs"
+    sigdir.mkdir()
+    doc = sigdir / "shift.sig"
+    doc.write_text(signature_source("nlfsr"))
+    data = run_json(image, entries, tmp_path / "a.json",
+                    extra=["--signatures", str(sigdir)])
+    (before,) = data["functions"][0]["signatures"]
+    assert before["matched"] is True
+    doc.write_text("IDENTIFIER edited\nVARIANT v\n"
+                   "x: XOR(OPAQUE, 0x9e3779b9);\n")
+    data = run_json(image, entries, tmp_path / "b.json",
+                    extra=["--signatures", str(sigdir)])
+    (after,) = data["functions"][0]["signatures"]
+    assert (after["identifier"], after["matched"]) == ("edited", False)
+    doc.write_text("IDENTIFIER broken\nVARIANT v\nx: XOR(1);\n")
+    for _ in range(2):
+        assert main(["--image", str(image), "--entries", str(entries),
+                     "--signatures", str(sigdir)]) == 2
+        assert str(doc) in capsys.readouterr().err

@@ -18,7 +18,10 @@ import json
 import sys
 from pathlib import Path
 
-from wherescrypto.report import AnalysisConfig, analyze_binary
+from wherescrypto.report import (AnalysisConfig, analyze_binary,
+                                 report_to_dict)
+from wherescrypto.sigdsl import _build, build_variant
+from wherescrypto.siglib import load_catalog
 
 ROOT = Path(__file__).resolve().parent.parent
 PIN = Path(__file__).parent / "fixtures" / "match_pin.json"
@@ -38,14 +41,20 @@ def _bench_corpus():
     return sys.modules[name]
 
 
-def pinned_outcomes() -> dict:
+def _scan():
+    """The function names in entry order, and the report of one scan
+    over them with the built-in catalog."""
     bench = _bench_corpus()
     corpus = bench.generate(WORKLOAD, SEED)
     config = AnalysisConfig(n=corpus.n, depth=bench.DEPTH,
                             timeout=bench.TIMEOUT)
     names = sorted(corpus.entries, key=corpus.entries.get)
-    report = analyze_binary(corpus.image, corpus.base,
-                            [corpus.entries[n] for n in names], config)
+    return names, analyze_binary(corpus.image, corpus.base,
+                                 [corpus.entries[n] for n in names], config)
+
+
+def pinned_outcomes() -> dict:
+    names, report = _scan()
     out = {}
     for name, function in zip(names, report.functions):
         assert function.error is None, f"{name}: {function.error}"
@@ -66,6 +75,27 @@ def test_large_graph_matches_are_pinned():
         assert sorted(got[name]) == sorted(want[name]), name
         for doc in want[name]:
             assert got[name][doc] == want[name][doc], f"{name}: {doc}"
+
+
+def test_shared_signature_graphs_are_never_changed():
+    # every scan in a process matches with the same built-in graphs, so
+    # a scan that changed one would change the scans after it
+    _, first = _scan()
+    matched = {s.name for f in first.functions for s in f.signatures
+               if s.matched}
+    assert {"aes", "feistel", "md5", "nlfsr", "xtea"} <= matched
+    for doc in load_catalog().values():
+        for variant in doc.variants:
+            shared, fresh = build_variant(variant), _build(variant)
+            assert shared is build_variant(variant)
+            assert shared.graph.serialize() == fresh.graph.serialize()
+            assert shared.clamp_labels == fresh.clamp_labels
+            assert shared.transient_set == fresh.transient_set
+    _, second = _scan()
+    bodies = [report_to_dict(r) for r in (first, second)]
+    for body in bodies:
+        body.pop("timestamp")
+    assert bodies[0] == bodies[1]
 
 
 if __name__ == "__main__":

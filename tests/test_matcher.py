@@ -8,11 +8,13 @@ compatibility predicate with counts worked out by hand.
 import gc
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
 from helpers import (chain_signature, copies_target, random_signature,
-                     random_target, reference_domains, reference_match)
+                     random_target, reference_domains,
+                     reference_initial_domains, reference_match)
 from wherescrypto.asm import assemble
 from wherescrypto.dfg import COMMUTATIVE, Dfg, NodeKind, NodeSpec
 from wherescrypto.matcher import (
@@ -286,6 +288,45 @@ def test_matcher_agrees_with_reference_on_large_targets():
             limited += 1
     assert dense >= 15
     assert limited >= 8
+
+
+def test_signature_setup_carries_nothing_between_targets():
+    # the per-signature set-up is made on the first target and reused
+    # for every later one; each target must still get its own domains
+    rng = random.Random(0)
+    sig = random_signature(rng)
+    while len(sig.graph.nodes) < 5:
+        sig = random_signature(rng)
+    other = random_signature(rng)
+    outcomes = Counter()
+    plan = None
+    for case in range(40):
+        # every fourth target holds copies of another signature, so
+        # some of them leave a domain empty before refinement
+        target = copies_target(rng, other if case % 4 == 0 else sig,
+                               rng.randint(200, 500))
+        index = TargetIndex(target)
+        initial = reference_initial_domains(sig, target)
+        want = initial if all(initial.values()) else None
+        cands = _initial_candidates(sig, index)
+        assert cands == want, f"case {case}"
+        if cands is not None:
+            assert list(cands) == list(sig.graph.nodes), f"case {case}"
+            if not _refine(_links(sig, index), cands):
+                cands = None
+        assert cands == reference_domains(sig, target), f"case {case}"
+        mappings = match_signature(sig, target, 64, index=index)
+        assert [m.assignment for m in mappings] == \
+            [m.assignment for m in reference_match(sig, target, 64)], \
+            f"case {case}"
+        plan = plan or sig.plan
+        assert sig.plan is plan
+        outcomes["no initial" if want is None else
+                 "refined away" if cands is None else
+                 "matched" if mappings else "no mapping"] += 1
+    assert outcomes["no initial"] >= 5
+    assert outcomes["refined away"] >= 3
+    assert outcomes["matched"] >= 20
 
 
 def test_long_chain_self_match_agrees_with_reference():

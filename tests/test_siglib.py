@@ -10,6 +10,7 @@ from wherescrypto.dfg import Dfg, NodeKind, NodeSpec
 from wherescrypto.matcher import match_signature
 from wherescrypto.sigdsl import build_variant, parse, print_doc
 from wherescrypto.siglib import (
+    SignatureFileError,
     UnknownSignatureError,
     builtin_names,
     generate_feistel_variants,
@@ -221,4 +222,18 @@ def test_load_signature_dir(tmp_path):
     docs = load_signature_dir(tmp_path)
     assert list(docs) == ["toy"]
     assert docs["toy"].identifier == "toy"
-    assert load_signature_dir(tmp_path / "empty") == {}
+
+
+def test_load_signature_dir_rejects_unusable_path(tmp_path):
+    # a missing directory, a plain file and a directory without a .sig
+    # file would otherwise scan with an empty catalog
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "plain.sig").write_text(signature_source("xtea"))
+    for name, cause in (("missing", "no such directory"),
+                        ("plain.sig", "not a directory"),
+                        ("empty", "no .sig files")):
+        path = tmp_path / name
+        with pytest.raises(SignatureFileError) as caught:
+            load_signature_dir(path)
+        assert caught.value.path == path
+        assert str(caught.value).startswith(f"{path}: {cause}")
