@@ -1,11 +1,14 @@
-"""Signature matching on large graphs, pinned against a fixture.
+"""Per-function outcomes on the benchmark corpora, pinned against a
+fixture.
 
-The benchmark's `crypto-unrolled` corpus (seed 1) gives graphs of
-hundreds of nodes, which the exhaustive oracle cannot reach.  Every
-function's outcome per signature document (graph hits, exemplar
-variant, mapping count and exemplar assignment) is compared with
-``fixtures/match_pin.json``.  The corpus comes from the benchmark's own
-generator, `perfbench/corpus.py`, so the two cannot drift apart.
+The benchmark's three workloads (seed 1) give graphs of up to hundreds
+of nodes, which the exhaustive oracle cannot reach, forking functions
+with many graphs, and loops that fold to constants.  For every function
+the path statuses, the block-permutation records and the outcome per
+signature document (graph hits, exemplar variant, mapping count and
+exemplar assignment) are compared with ``fixtures/match_pin.json``.
+The corpora come from the benchmark's own generator,
+`perfbench/corpus.py`, so the two cannot drift apart.
 
 After an intended change to lifting or matching, regenerate the fixture
 with ``PYTHONPATH=src python tests/test_match_pin.py``.
@@ -25,7 +28,7 @@ from wherescrypto.siglib import load_catalog
 
 ROOT = Path(__file__).resolve().parent.parent
 PIN = Path(__file__).parent / "fixtures" / "match_pin.json"
-WORKLOAD = "crypto-unrolled"
+WORKLOADS = ("crypto-unrolled", "branch-fanout", "selftest-loops")
 SEED = 1
 
 
@@ -41,11 +44,11 @@ def _bench_corpus():
     return sys.modules[name]
 
 
-def _scan():
+def _scan(workload: str = "crypto-unrolled"):
     """The function names in entry order, and the report of one scan
     over them with the built-in catalog."""
     bench = _bench_corpus()
-    corpus = bench.generate(WORKLOAD, SEED)
+    corpus = bench.generate(workload, SEED)
     config = AnalysisConfig(n=corpus.n, depth=bench.DEPTH,
                             timeout=bench.TIMEOUT)
     names = sorted(corpus.entries, key=corpus.entries.get)
@@ -53,28 +56,48 @@ def _scan():
                                  [corpus.entries[n] for n in names], config)
 
 
-def pinned_outcomes() -> dict:
-    names, report = _scan()
+def pinned_outcomes(workload: str) -> dict:
+    names, report = _scan(workload)
+    functions = report_to_dict(report)["functions"]
     out = {}
-    for name, function in zip(names, report.functions):
-        assert function.error is None, f"{name}: {function.error}"
+    for name, function in zip(names, functions):
+        assert function["error"] is None, f"{name}: {function['error']}"
         out[name] = {
-            sig.name: {"graph_hits": list(sig.graph_hits),
-                       "variant": sig.variant,
-                       "mappings": sig.mappings,
-                       "assignment": [list(p) for p in sig.assignment]}
-            for sig in function.signatures}
+            "statuses": function["statuses"],
+            "block_permutation": function["block_permutation"],
+            "signatures": {
+                sig["name"]: {key: sig[key] for key in
+                              ("graph_hits", "variant", "mappings",
+                               "assignment")}
+                for sig in function["signatures"]}}
     return out
 
 
-def test_large_graph_matches_are_pinned():
-    want = json.loads(PIN.read_text())
-    got = pinned_outcomes()
+def _check_pinned(workload: str) -> None:
+    want = json.loads(PIN.read_text())[workload]
+    got = pinned_outcomes(workload)
     assert sorted(got) == sorted(want)
     for name in want:
         assert sorted(got[name]) == sorted(want[name]), name
-        for doc in want[name]:
-            assert got[name][doc] == want[name][doc], f"{name}: {doc}"
+        for part in ("statuses", "block_permutation"):
+            assert got[name][part] == want[name][part], f"{name}: {part}"
+        signatures = want[name]["signatures"]
+        assert sorted(got[name]["signatures"]) == sorted(signatures), name
+        for doc in signatures:
+            assert got[name]["signatures"][doc] == signatures[doc], \
+                f"{name}: {doc}"
+
+
+def test_large_graph_matches_are_pinned():
+    _check_pinned("crypto-unrolled")
+
+
+def test_forking_function_outcomes_are_pinned():
+    _check_pinned("branch-fanout")
+
+
+def test_folded_loop_outcomes_are_pinned():
+    _check_pinned("selftest-loops")
 
 
 def test_shared_signature_graphs_are_never_changed():
@@ -99,4 +122,5 @@ def test_shared_signature_graphs_are_never_changed():
 
 
 if __name__ == "__main__":
-    PIN.write_text(json.dumps(pinned_outcomes(), indent=1) + "\n")
+    PIN.write_text(json.dumps(
+        {w: pinned_outcomes(w) for w in WORKLOADS}, indent=1) + "\n")
