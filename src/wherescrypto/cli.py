@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Optional
 
 from .elf import ElfError, load_elf
-from .report import (AnalysisConfig, MalformedLineError, UnknownFormatError,
+from .report import (FORMATS, AnalysisConfig, MalformedLineError,
                      analyze_binary, emit_report, load_entries)
 from .siglib import SignatureFileError, builtin_names, load_catalog, \
     load_signature_dir, signature_source
@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "of its paths together; the work is bounded "
                              "by a fixed instruction budget that the paths "
                              "share (default 10)")
-    parser.add_argument("--format", choices=("json", "text", "dot"),
+    parser.add_argument("--format", choices=FORMATS,
                         default="json", help="output format (default json)")
     parser.add_argument("--out", metavar="PATH",
                         help="write the report here instead of stdout")

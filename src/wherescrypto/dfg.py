@@ -11,7 +11,7 @@ forwarding is a constant-time dictionary lookup on the address node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -137,9 +137,6 @@ class Dfg:
             return self.nodes[ref]
         except KeyError:
             raise DeadNodeError(f"node {ref} is not live") from None
-
-    def kind(self, ref: NodeRef) -> NodeKind:
-        return self.node(ref).kind
 
     def is_const(self, ref: NodeRef, value: Optional[int] = None) -> bool:
         n = self.node(ref)

@@ -34,10 +34,6 @@ class LoadedImage:
     functions: dict[str, int] = field(default_factory=dict)
 
 
-def load_flat(data: bytes, base: int) -> LoadedImage:
-    return LoadedImage(bytes(data), base)
-
-
 def _unpack(record: struct.Struct, data: bytes, offset: int,
             what: str) -> tuple:
     if offset + record.size > len(data):

@@ -222,26 +222,28 @@ class TargetIndex:
     signature variant matched into it.
 
     Target nodes are numbered densely in ascending ref order, and a set
-    of them is a Python int whose bit i stands for `refs[i]`.
-    `tables(pos)` gives the operand and consumer relations, restricted
-    to operand position `pos` or over every position for None; each is
-    built on first use.  The graph must not change while the index is
-    in use.
+    of them is a Python int whose bit i stands for `refs[i]`.  The
+    tag buckets and arity masks behind `domain` are built with the
+    index; `tables(pos)` reads the operand and consumer relations off
+    the graph on first use, restricted to operand position `pos` or
+    over every position for None, so a graph that fails every
+    candidate check pays only for its buckets.  The graph must not
+    change while the index is in use.
     """
 
     def __init__(self, target: Dfg):
         self.target = target
         self.refs = sorted(target.nodes)
-        bit = {ref: i for i, ref in enumerate(self.refs)}
-        self._operands = [tuple(bit[r] for r in target.nodes[ref].inputs)
-                          for ref in self.refs]
+        self._bit: dict[NodeRef, int] = {}
         self._buckets: dict[tuple, int] = {}
         self._arity: dict[int, int] = {}
         for i, ref in enumerate(self.refs):
+            self._bit[ref] = i
             one = 1 << i
-            key = _tag(target.nodes[ref])
+            node = target.nodes[ref]
+            key = _tag(node)
             self._buckets[key] = self._buckets.get(key, 0) | one
-            arity = len(self._operands[i])
+            arity = len(node.inputs)
             self._arity[arity] = self._arity.get(arity, 0) | one
         self._tables: dict[Optional[int], tuple[_Table, _Table]] = {}
         self._domains: dict[tuple, int] = {}
@@ -251,11 +253,13 @@ class TargetIndex:
         `pos`, or at any position when `pos` is None."""
         found = self._tables.get(pos)
         if found is None:
+            nodes, bit = self.target.nodes, self._bit
             args = [0] * len(self.refs)
             users = [0] * len(self.refs)
-            for i, ops in enumerate(self._operands):
-                for p, j in enumerate(ops):
+            for i, ref in enumerate(self.refs):
+                for p, r in enumerate(nodes[ref].inputs):
                     if pos is None or p == pos:
+                        j = bit[r]
                         args[i] |= 1 << j
                         users[j] |= 1 << i
             found = self._tables[pos] = (_Table(args), _Table(users))

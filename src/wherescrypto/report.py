@@ -217,43 +217,28 @@ def _analyze_function(image: bytes, base: int, entry: int,
                               error=f"{type(exc).__name__}: {exc}",
                               elapsed=time.perf_counter() - start)
 
-    # graph by graph, so only one index is alive at a time
-    hits: dict[str, list[bool]] = {name: [] for name, _, _ in built}
-    first: dict[str, tuple] = {}
-    spent = dict.fromkeys(hits, 0.0)
-    for graph_index, path in enumerate(paths):
-        target_index = TargetIndex(path.graph)
-        for name, _, variants in built:
-            sig_start = time.perf_counter()
-            hit = _first_hit(variants, path.graph, target_index)
-            spent[name] += time.perf_counter() - sig_start
-            hits[name].append(hit is not None)
-            if hit is not None and name not in first:
-                first[name] = (graph_index,) + hit
-
-    signatures = []
-    for name, identifier, _ in built:
-        exemplar = first.get(name)
-        signatures.append(SignatureResult(
-            name=name,
-            identifier=identifier,
-            matched=exemplar is not None,
-            graph_hits=tuple(hits[name]),
-            graph_index=exemplar[0] if exemplar else None,
-            variant=exemplar[1] if exemplar else None,
-            mappings=exemplar[2] if exemplar else 0,
-            assignment=exemplar[3] if exemplar else (),
-            clamps=exemplar[4] if exemplar else (),
-            elapsed=spent[name]))
-
+    signatures = tuple(SignatureResult(name, identifier, matched=False)
+                       for name, identifier, _ in built)
     records = []
-    for index, path in enumerate(paths):
-        for report in classify_block_permutation(path.graph):
-            anchor_node = path.graph.nodes.get(report.anchor)
+    # graph by graph, so only one index is alive at a time
+    for graph_index, path in enumerate(paths):
+        graph = path.graph
+        target_index = TargetIndex(graph)
+        for result, (_, _, variants) in zip(signatures, built):
+            sig_start = time.perf_counter()
+            hit = _first_hit(variants, graph, target_index)
+            result.elapsed += time.perf_counter() - sig_start
+            result.graph_hits += (hit is not None,)
+            if hit is not None and not result.matched:
+                result.matched = True
+                result.graph_index = graph_index
+                (result.variant, result.mappings, result.assignment,
+                 result.clamps) = hit
+        for report in classify_block_permutation(graph):
             records.append(BlockPermRecord(
-                graph_index=index,
+                graph_index=graph_index,
                 anchor=report.anchor,
-                anchor_symbol=anchor_node.symbol if anchor_node else None,
+                anchor_symbol=graph.node(report.anchor).symbol,
                 triple=tuple(report.triple),
                 offsets=tuple(report.offsets),
                 path=tuple(tuple(step) for step in report.path_signature),
@@ -263,7 +248,7 @@ def _analyze_function(image: bytes, base: int, entry: int,
         entry=entry,
         graphs=len(paths),
         statuses=tuple(p.status.name for p in paths),
-        signatures=tuple(signatures),
+        signatures=signatures,
         block_permutation=tuple(records),
         elapsed=time.perf_counter() - start,
         dfgs=tuple(p.graph for p in paths))

@@ -123,6 +123,15 @@ _OP_KEYWORDS = ("STORE", "LOAD", "XOR", "OR", "AND", "MULT", "ROTATE")
 _ARITY = {"STORE": (2, 2), "LOAD": (1, 1), "ROTATE": (2, 2),
           "XOR": (2, None), "OR": (2, None), "AND": (2, None),
           "MULT": (2, None)}
+
+
+def _check_arity(op: str, got: int, line: int, column: int) -> None:
+    lo, hi = _ARITY[op]
+    if got < lo or (hi is not None and got > hi):
+        want = str(lo) if hi == lo else f"at least {lo}"
+        raise ArityError(line, column, op, got, want)
+
+
 # Parentheses, operation calls, wildcard operands and shift chains nest
 # expressions; deeper nesting is a ParseError, not a recursion overflow
 # in the parser or in the code that walks the tree.
@@ -330,11 +339,7 @@ class _Parser:
             self.pos += 1
             args.append(self._expr())
         self._take(")", ("')'", "','"))
-        lo, hi = _ARITY[word]
-        if len(args) < lo or (hi is not None and len(args) > hi):
-            want = str(lo) if hi == lo else f"at least {lo}"
-            raise ArityError(tok.line, tok.column, word, len(args),
-                             want)
+        _check_arity(word, len(args), tok.line, tok.column)
         return OpCall(word, tuple(args))
 
     def _opaque(self) -> Opaque:
@@ -509,11 +514,7 @@ def _build_expr(g: Dfg, expr: Expr, labels: dict[str, NodeRef],
             clamp_map[ref] = expr.clamp
         return ref
     if isinstance(expr, OpCall):
-        lo, hi = _ARITY[expr.op]
-        if len(expr.args) < lo or (hi is not None
-                                   and len(expr.args) > hi):
-            want = str(lo) if hi == lo else f"at least {lo}"
-            raise ArityError(0, 0, expr.op, len(expr.args), want)
+        _check_arity(expr.op, len(expr.args), 0, 0)
         args = [_build_expr(g, a, labels, clamp_map)
                 for a in expr.args]
         if expr.op == "STORE":

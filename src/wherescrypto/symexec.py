@@ -13,15 +13,21 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from math import inf, isfinite
 from typing import Optional
 
 from . import arm
 from .arm import Instruction, OutcomeKind
-from .dfg import Dfg, NodeKind, NodeRef, NodeSpec
+from .dfg import Dfg, NodeKind, NodeRef
 
 SIGNED_MIN = -(1 << 31)
 SIGNED_MAX = (1 << 31) - 1
 
+# `x op c` holds exactly for c + below <= x <= c + above
+_OPS = {"<": (-inf, -1), "<=": (-inf, 0), "==": (0, 0), ">=": (0, inf),
+        ">": (1, inf)}
+# `c op x` is `x _MIRRORED[op] c`
+_MIRRORED = {"<": ">", "<=": ">=", "==": "==", ">=": "<=", ">": "<"}
 _NEGATED = {"<": ">=", "<=": ">", ">=": "<", ">": "<=", "==": "!="}
 
 
@@ -91,93 +97,64 @@ class PathCondition:
         lo, hi = SIGNED_MIN, SIGNED_MAX
         excluded: set[int] = set()
         for fact, polarity in self.facts:
-            if fact.v1 == node and graph.is_const(fact.v2):
-                op = fact.op
-                c = _to_signed(graph.const_value(fact.v2))
-            elif fact.v2 == node and graph.is_const(fact.v1):
-                c = _to_signed(graph.const_value(fact.v1))
-                op = {"<": ">", "<=": ">=", ">": "<", ">=": "<=",
-                      "==": "=="}[fact.op]
-            else:
+            oriented = _against_constant(graph, fact, node)
+            if oriented is None:
                 continue
+            op, c = oriented
             if not polarity:
                 op = _NEGATED[op]
-            if op == "<":
-                hi = min(hi, c - 1)
-            elif op == "<=":
-                hi = min(hi, c)
-            elif op == ">":
-                lo = max(lo, c + 1)
-            elif op == ">=":
-                lo = max(lo, c)
-            elif op == "==":
-                lo, hi = max(lo, c), min(hi, c)
-            else:                                   # !=
+            if op == "!=":
                 excluded.add(c)
+            else:
+                below, above = _OPS[op]
+                lo, hi = max(lo, c + below), min(hi, c + above)
         return lo, hi, excluded
 
     def evaluate(self, graph: Dfg, cond: Condition) -> Verdict:
         for fact, polarity in self.facts:
             if fact == cond:
                 return Verdict.TRUE if polarity else Verdict.FALSE
-        v1c = graph.is_const(cond.v1)
-        v2c = graph.is_const(cond.v2)
-        if v1c and v2c:
-            return (Verdict.TRUE
-                    if _compare(cond.op,
-                                _to_signed(graph.const_value(cond.v1)),
-                                _to_signed(graph.const_value(cond.v2)))
-                    else Verdict.FALSE)
         if cond.v1 == cond.v2:
             return (Verdict.TRUE if cond.op in ("<=", ">=", "==")
                     else Verdict.FALSE)
-        if v1c or v2c:
-            if v2c:
-                node = cond.v1
-                op = cond.op
-                c = _to_signed(graph.const_value(cond.v2))
-            else:
-                node = cond.v2
-                c = _to_signed(graph.const_value(cond.v1))
-                op = {"<": ">", "<=": ">=", ">": "<", ">=": "<=",
-                      "==": "=="}[cond.op]
-            lo, hi, excluded = self._interval(graph, node)
-            return _judge_interval(op, c, lo, hi, excluded)
-        return Verdict.UNDETERMINED
+        node = cond.v1 if graph.is_const(cond.v2) else cond.v2
+        oriented = _against_constant(graph, cond, node)
+        if oriented is None:
+            return Verdict.UNDETERMINED
+        op, c = oriented
+        if graph.is_const(node):                # a constant is one point
+            value = _to_signed(graph.const_value(node))
+            return _judge_interval(op, c, value, value, set())
+        return _judge_interval(op, c, *self._interval(graph, node))
 
 
-def _compare(op: str, a: int, b: int) -> bool:
-    return {"<": a < b, "<=": a <= b, "==": a == b,
-            ">=": a >= b, ">": a > b}[op]
+def _against_constant(graph: Dfg, cond: Condition,
+                      node: NodeRef) -> Optional[tuple[str, int]]:
+    """`cond` read as `node op c` for a signed constant c, or None when
+    it does not compare `node` with a constant."""
+    if cond.v1 == node and graph.is_const(cond.v2):
+        return cond.op, _to_signed(graph.const_value(cond.v2))
+    if cond.v2 == node and graph.is_const(cond.v1):
+        return _MIRRORED[cond.op], _to_signed(graph.const_value(cond.v1))
+    return None
 
 
 def _judge_interval(op: str, c: int, lo: int, hi: int,
                     excluded: set[int]) -> Verdict:
-    if op == "<":
-        if hi < c:
-            return Verdict.TRUE
-        if lo >= c:
-            return Verdict.FALSE
-    elif op == "<=":
-        if hi <= c:
-            return Verdict.TRUE
-        if lo > c:
-            return Verdict.FALSE
-    elif op == ">":
-        if lo > c:
-            return Verdict.TRUE
-        if hi <= c:
-            return Verdict.FALSE
-    elif op == ">=":
-        if lo >= c:
-            return Verdict.TRUE
-        if hi < c:
-            return Verdict.FALSE
-    else:                                           # ==
-        if lo == hi == c and c not in excluded:
-            return Verdict.TRUE
-        if c < lo or c > hi or c in excluded:
-            return Verdict.FALSE
+    """Whether `x op c` holds for the x in [lo, hi] that are not
+    excluded, read off the two ends: TRUE when every end that faces a
+    closed side of the range `_OPS` admits lies in that range, FALSE
+    when [lo, hi] lies wholly beyond one side of it, or when the one
+    value it admits is excluded."""
+    below, above = _OPS[op]
+    low, high = c + below, c + above
+    if low == high and c in excluded:
+        return Verdict.FALSE
+    if ((below == -inf or low <= lo <= high)
+            and (above == inf or low <= hi <= high)):
+        return Verdict.TRUE
+    if lo > high or hi < low:
+        return Verdict.FALSE
     return Verdict.UNDETERMINED
 
 
@@ -238,8 +215,8 @@ class Config:
             raise ValueError("n must be at least 1")
         if self.depth < 0:
             raise ValueError("depth must not be negative")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not (isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError("timeout must be a finite positive number")
 
 
 class ExecState:
@@ -319,25 +296,19 @@ def handle_conditional(state: ExecState, e: int, cond: Condition,
         decision = OracleDecision.TAKE_FALSE
         state.flags.add("fork cap reached")
 
-    out: list[tuple[ExecState, bool]] = []
     if decision is OracleDecision.TAKE_BOTH:
-        sibling = state.fork()
-        for st, value in ((state, True), (sibling, False)):
-            try:
-                st.path_condition.extend(st.graph, cond, value)
-            except DeadStateError:
-                continue
-            st.backlog.setdefault(e, []).append(value)
-            out.append((st, value))
-        return out
-
-    value = decision is OracleDecision.TAKE_TRUE
-    try:
-        state.path_condition.extend(state.graph, cond, value)
-    except DeadStateError:
-        return []
-    state.backlog.setdefault(e, []).append(value)
-    return [(state, value)]
+        sides = [(state, True), (state.fork(), False)]
+    else:
+        sides = [(state, decision is OracleDecision.TAKE_TRUE)]
+    out: list[tuple[ExecState, bool]] = []
+    for st, value in sides:
+        try:
+            st.path_condition.extend(st.graph, cond, value)
+        except DeadStateError:
+            continue
+        st.backlog.setdefault(e, []).append(value)
+        out.append((st, value))
+    return out
 
 
 def _stack_address(graph: Dfg, addr: NodeRef, sp_input: NodeRef) -> bool:

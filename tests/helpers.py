@@ -1,6 +1,8 @@
 """Shared test utilities: randomized NodeSpec sequence driver,
 signature/target pair generators for the matcher-versus-oracle battery,
-and a plain reference matcher with generators for large targets.
+a plain reference matcher with generators for large targets, and the
+branch-per-operator interval judge that `symexec._judge_interval`
+restates.
 
 Used by both the unit property tests and the acceptance suite.  The
 spec generator sticks to structural node kinds: OPAQUE and CALL mint a
@@ -17,6 +19,7 @@ from wherescrypto.dfg import COMMUTATIVE, Dfg, NodeKind, NodeSpec
 from wherescrypto.matcher import (Mapping, _assignment_ok, _node_tag_ok,
                                   _ordered, _subset_arity)
 from wherescrypto.sigdsl import SignatureGraph
+from wherescrypto.symexec import Verdict
 
 _BINARY = [NodeKind.SHL, NodeKind.SHR, NodeKind.ROTATE, NodeKind.SUB]
 _VARIADIC = [NodeKind.ADD, NodeKind.MULT, NodeKind.XOR, NodeKind.AND, NodeKind.OR]
@@ -398,3 +401,35 @@ def chain_signature(rng: random.Random, steps: int) -> SignatureGraph:
         h = g.request_operation(NodeSpec(NodeKind.ROTATE, (h, r)))
     g.purge([h])
     return SignatureGraph(g)
+
+
+def reference_judge_interval(op: str, c: int, lo: int, hi: int,
+                             excluded: set[int]) -> Verdict:
+    """One branch per comparison operator: the earlier form of
+    `symexec._judge_interval`, kept verbatim as its reference."""
+    if op == "<":
+        if hi < c:
+            return Verdict.TRUE
+        if lo >= c:
+            return Verdict.FALSE
+    elif op == "<=":
+        if hi <= c:
+            return Verdict.TRUE
+        if lo > c:
+            return Verdict.FALSE
+    elif op == ">":
+        if lo > c:
+            return Verdict.TRUE
+        if hi <= c:
+            return Verdict.FALSE
+    elif op == ">=":
+        if lo >= c:
+            return Verdict.TRUE
+        if hi < c:
+            return Verdict.FALSE
+    else:                                           # ==
+        if lo == hi == c and c not in excluded:
+            return Verdict.TRUE
+        if c < lo or c > hi or c in excluded:
+            return Verdict.FALSE
+    return Verdict.UNDETERMINED

@@ -166,6 +166,10 @@ def test_usage_errors_exit_1(workspace, capsys):
                  "--n", "0"]) == 1
     assert main(["--image", str(image), "--entries", str(entries),
                  "--format", "yaml"]) == 1
+    # not finite: the report would hold NaN or Infinity, which is not JSON
+    for timeout in ("nan", "inf", "1e309", "-inf", "0", "-1"):
+        assert main(["--image", str(image), "--entries", str(entries),
+                     "--timeout", timeout]) == 1, timeout
     assert main(["--no-such-flag"]) == 1
     capsys.readouterr()
 

@@ -290,6 +290,43 @@ def test_matcher_agrees_with_reference_on_large_targets():
     assert limited >= 8
 
 
+def test_index_tables_are_the_operand_relation():
+    # rows[i] of the operand table holds the inputs of node i at the
+    # position (any position for None), and the consumer table is its
+    # transpose; neither exists before the first `tables` call
+    rng = random.Random(7)
+    for case in range(30):
+        sig = random_signature(rng)
+        target = copies_target(rng, sig, rng.randint(20, 80))
+        index = TargetIndex(target)
+        assert index._tables == {}
+        refs = sorted(target.nodes)
+        for pos in (None, 0, 1, 2):
+            args, users = index.tables(pos)
+            want_args = [0] * len(refs)
+            want_users = [0] * len(refs)
+            for i, ref in enumerate(refs):
+                for p, r in enumerate(target.nodes[ref].inputs):
+                    if pos in (None, p):
+                        j = refs.index(r)
+                        want_args[i] |= 1 << j
+                        want_users[j] |= 1 << i
+            assert (args.rows, users.rows) == (want_args, want_users), \
+                f"case {case}, pos {pos}"
+
+
+def test_index_without_candidates_builds_no_tables():
+    # a signature whose tags the target lacks fails before refinement
+    target = Dfg()
+    target.request_operation(NodeSpec(
+        NodeKind.ADD, (target.request_input("A"), target.request_input("B"))))
+    sig = build_variant(parse(
+        "IDENTIFIER t\nVARIANT a\nx: ROTATE(OPAQUE, 3);").variants[0])
+    index = TargetIndex(target)
+    assert match_signature(sig, target, index=index) == []
+    assert index._tables == {}
+
+
 def test_signature_setup_carries_nothing_between_targets():
     # the per-signature set-up is made on the first target and reused
     # for every later one; each target must still get its own domains

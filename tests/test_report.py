@@ -19,6 +19,8 @@ from wherescrypto.report import (
     load_entries,
 )
 from wherescrypto.asm import assemble, label_addresses
+from wherescrypto.matcher import match_signature
+from wherescrypto.sigdsl import build_variant
 from wherescrypto.siglib import load_builtin, load_catalog
 
 # A 4-round Galois-style LFSR with the feedback computed inline:
@@ -114,8 +116,9 @@ def test_config_rejects_bad_values():
         AnalysisConfig(n=0)
     with pytest.raises(ValueError):
         AnalysisConfig(depth=-1)
-    with pytest.raises(ValueError):
-        AnalysisConfig(timeout=0)
+    for timeout in (0, float("nan"), float("inf"), float("1e309")):
+        with pytest.raises(ValueError):
+            AnalysisConfig(timeout=timeout)
     with pytest.raises(UnknownFormatError):
         AnalysisConfig(output_format="yaml")
 
@@ -218,6 +221,25 @@ def test_matched_is_disjunction_of_graph_hits(lfsr_image):
         for sig in fn.signatures:
             assert len(sig.graph_hits) == fn.graphs
             assert sig.matched == any(sig.graph_hits)
+
+
+def test_exemplar_comes_from_the_first_hitting_graph(nlfsr_corpus):
+    # both sides of the branch run the LFSR, on r0 or on r1
+    text = ("entry:\n    cmp r1, #0\n    beq plain\n"
+            "    mov r0, r1\nplain:\n") + LFSR_INLINE.split("\n", 1)[1]
+    rep = analyze_binary(assemble(text), 0, [0], corpus=nlfsr_corpus)
+    (fn,) = rep.functions
+    (sig,) = fn.signatures
+    assert fn.statuses == ("COMPLETE", "COMPLETE")
+    assert sig.graph_hits == (True, True)
+    assert sig.graph_index == 0
+    variant = next(v for v in nlfsr_corpus["nlfsr"].variants
+                   if v.name == sig.variant)
+    found = match_signature(build_variant(variant), fn.dfgs[0])
+    assert sig.mappings == len(found)
+    assert sig.assignment == tuple(sorted(found[0].assignment.items()))
+    assert sig.assignment != tuple(sorted(match_signature(
+        build_variant(variant), fn.dfgs[1])[0].assignment.items()))
 
 
 def test_totals_equal_function_aggregation(nlfsr_corpus):

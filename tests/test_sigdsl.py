@@ -230,14 +230,20 @@ def test_parse_error_reserved_word_as_label():
 
 
 def test_parse_arity_errors():
-    with pytest.raises(ArityError):
-        parse("IDENTIFIER t\nVARIANT a\nx: LOAD(1, 2);")
-    with pytest.raises(ArityError):
-        parse("IDENTIFIER t\nVARIANT a\nx: STORE(1);")
-    with pytest.raises(ArityError):
-        parse("IDENTIFIER t\nVARIANT a\nx: ROTATE(1);")
-    with pytest.raises(ArityError):
-        parse("IDENTIFIER t\nVARIANT a\nx: XOR(1);")
+    # the position is the operation's keyword
+    for text, message in (
+            ("x: LOAD(1, 2);", "LOAD takes 1 argument(s), got 2"),
+            ("x: STORE(1);", "STORE takes 2 argument(s), got 1"),
+            ("x: ROTATE(1);", "ROTATE takes 2 argument(s), got 1"),
+            ("y: 1;\nx: XOR(y,\n  AND(1));",
+             "AND takes at least 2 argument(s), got 1")):
+        with pytest.raises(ArityError) as info:
+            parse("IDENTIFIER t\nVARIANT a\n" + text)
+        line = 3 + text.count("\n")
+        column = 3 if "AND" in text else 4
+        assert (info.value.line, info.value.column) == (line, column)
+        assert str(info.value) == \
+            f"line {line}, column {column}: {message}"
 
 
 def test_parse_error_long_decimal_literal():
@@ -452,8 +458,13 @@ def test_build_rotate_normalizes_amount():
 def test_build_programmatic_bad_arity():
     v = VariantDef("a", (Statement(
         False, None, OpCall("LOAD", (Literal(1), Literal(2)))),))
-    with pytest.raises(ArityError):
+    with pytest.raises(ArityError) as info:
         build_variant(v)
+    # a tree built in code has no source position
+    assert (info.value.line, info.value.column, info.value.op) == \
+        (0, 0, "LOAD")
+    assert str(info.value) == \
+        "line 0, column 0: LOAD takes 1 argument(s), got 2"
 
 
 def test_build_label_references_share_nodes():

@@ -11,7 +11,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_judge_interval
 from wherescrypto import arm, symexec
 from wherescrypto.asm import assemble
 from wherescrypto.dfg import Dfg, NodeKind
@@ -498,6 +501,39 @@ def test_fork_cap_bounds_live_states():
 
 
 def test_config_rejects_bad_values():
-    for bad in ({"n": 0}, {"depth": -1}, {"timeout": 0}):
+    for bad in ({"n": 0}, {"depth": -1}, {"timeout": 0},
+                {"timeout": float("nan")}, {"timeout": float("inf")},
+                {"timeout": float("-inf")}, {"timeout": float("1e309")}):
         with pytest.raises(ValueError):
             Config(**bad)
+
+
+_OPS = ("<", "<=", "==", ">=", ">")
+
+
+def test_judge_interval_matches_reference_near_the_constant():
+    # every placement of the two ends around c, empty intervals
+    # (lo > hi) included, with c excluded or not
+    c = 0
+    for op in _OPS:
+        for lo in range(-3, 4):
+            for hi in range(-3, 4):
+                for excluded in (set(), {c}, {c - 1, c + 1}, {lo, hi}):
+                    assert (symexec._judge_interval(op, c, lo, hi, excluded)
+                            == reference_judge_interval(op, c, lo, hi,
+                                                        excluded)), \
+                        (op, lo, hi, excluded)
+
+
+_SIGNED = st.integers(symexec.SIGNED_MIN, symexec.SIGNED_MAX)
+
+
+@settings(max_examples=500, deadline=None)
+@given(op=st.sampled_from(_OPS), c=_SIGNED, lo=_SIGNED, hi=_SIGNED,
+       excluded=st.sets(_SIGNED, max_size=3), exclude_c=st.booleans())
+def test_judge_interval_matches_reference(op, c, lo, hi, excluded,
+                                          exclude_c):
+    if exclude_c:
+        excluded.add(c)
+    assert (symexec._judge_interval(op, c, lo, hi, excluded)
+            == reference_judge_interval(op, c, lo, hi, excluded))
