@@ -234,11 +234,10 @@ class TargetIndex:
     def __init__(self, target: Dfg):
         self.target = target
         self.refs = sorted(target.nodes)
-        self._bit: dict[NodeRef, int] = {}
+        self._bit = {ref: i for i, ref in enumerate(self.refs)}
         self._buckets: dict[tuple, int] = {}
         self._arity: dict[int, int] = {}
         for i, ref in enumerate(self.refs):
-            self._bit[ref] = i
             one = 1 << i
             node = target.nodes[ref]
             key = _tag(node)

@@ -126,6 +126,8 @@ _ARITY = {"STORE": (2, 2), "LOAD": (1, 1), "ROTATE": (2, 2),
 
 
 def _check_arity(op: str, got: int, line: int, column: int) -> None:
+    """Raises `ArityError` unless `op` takes `got` arguments; a tree
+    built in code, not parsed, reports line and column 0."""
     lo, hi = _ARITY[op]
     if got < lo or (hi is not None and got > hi):
         want = str(lo) if hi == lo else f"at least {lo}"
