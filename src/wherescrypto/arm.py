@@ -23,7 +23,7 @@ from enum import Enum
 from functools import partial
 from typing import Optional, Union
 
-from .dfg import MASK32, NodeKind, NodeRef, NodeSpec
+from .dfg import MASK32, NodeKind, NodeRef
 
 COND_NAMES = ("EQ", "NE", "CS", "CC", "MI", "PL", "VS", "VC",
               "HI", "LS", "GE", "LT", "GT", "LE", "AL")
@@ -381,7 +381,7 @@ def _write_result(state, ins: Instruction, rd: Reg, result: NodeRef,
 
 
 def _op(state, kind: NodeKind, *inputs: NodeRef) -> NodeRef:
-    return state.graph.request_operation(NodeSpec(kind, inputs))
+    return state.graph.request_operation(kind, inputs)
 
 
 def _not(state, value: NodeRef) -> NodeRef:

@@ -164,6 +164,8 @@ class Assembler:
         c = cond << 28
 
         if base == "nop":
+            if rest:
+                raise AsmError(no, "nop takes no operands")
             return c | 0x0320F000
         if base == "b" or base == "bl":
             return c | self._branch(base, rest, address, no)
@@ -244,6 +246,8 @@ class Assembler:
         rm = _reg(parts[0], no)
         if len(parts) == 1:
             return rm
+        if len(parts) > 2:
+            raise AsmError(no, f"unexpected operand {parts[2]!r}")
         m = re.match(r"(lsl|lsr|asr|ror)\s+(.+)", parts[1],
                      re.IGNORECASE)
         if not m:
@@ -267,6 +271,9 @@ class Assembler:
         if opcode is None:
             raise AsmError(no, f"unknown mnemonic {base!r}")
         parts = [p.strip() for p in _split_operands(rest)]
+        need = 2 if base in ("mov", "mvn", "cmp", "cmn", "tst") else 3
+        if len(parts) < need:
+            raise AsmError(no, f"{base} needs {need} operands")
         word = (opcode << 21) | (int(sflag) << 20)
         if base in ("mov", "mvn"):
             rd = _reg(parts[0], no)
@@ -305,16 +312,15 @@ class Assembler:
     def _multiply(self, base: str, rest: str, sflag: bool,
                   no: int) -> int:
         parts = [p.strip() for p in rest.split(",")]
+        need = 4 if base == "mla" else 3
+        if len(parts) != need:
+            raise AsmError(no, f"{base} needs {need} registers")
         rd = _reg(parts[0], no)
         rm = _reg(parts[1], no)
         rs = _reg(parts[2], no)
         word = (int(sflag) << 20) | (rd << 16) | (rs << 8) | 0x90 | rm
         if base == "mla":
-            if len(parts) != 4:
-                raise AsmError(no, "mla needs 4 registers")
             return word | (1 << 21) | (_reg(parts[3], no) << 12)
-        if len(parts) != 3:
-            raise AsmError(no, "mul needs 3 registers")
         return word
 
     def _loadstore(self, base: str, rest: str, address: int,
@@ -330,6 +336,8 @@ class Assembler:
             (rd << 12)
 
         if addr.startswith("="):
+            if not load:
+                raise AsmError(no, f"{base} cannot take a literal")
             value = _number(addr[1:], no) & MASK32
             slot = self.literal_slots[value]
             offset = slot - (address + 8)

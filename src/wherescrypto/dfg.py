@@ -51,6 +51,18 @@ COMMUTATIVE = frozenset(
     {NodeKind.ADD, NodeKind.MULT, NodeKind.XOR, NodeKind.AND, NodeKind.OR}
 )
 
+#: The operation kinds `Dfg.request_operation` normalizes: the
+#: commutative ones plus shifts, rotation and subtraction.
+_OPERATIONS = COMMUTATIVE | {
+    NodeKind.SHL, NodeKind.SHR, NodeKind.ROTATE, NodeKind.SUB}
+
+#: (least, most) operand count per operation kind and memory access;
+#: None means no upper bound.  The broker and the signature language
+#: both check operand counts against this table.
+ARITY = {kind: (2, None) if kind in COMMUTATIVE else (2, 2)
+         for kind in _OPERATIONS}
+ARITY.update({NodeKind.LOAD: (1, 1), NodeKind.STORE: (2, 2)})
+
 #: Identity element per commutative kind (dropped when other inputs remain).
 _IDENTITY = {
     NodeKind.ADD: 0,
@@ -72,18 +84,7 @@ class GraphError(Exception):
 
 
 class DeadNodeError(GraphError):
-    """A spec referenced a NodeRef that is not live in the graph."""
-
-
-@dataclass(frozen=True)
-class NodeSpec:
-    """A node request as handed to the broker (pre-normalization)."""
-
-    kind: NodeKind
-    inputs: tuple[NodeRef, ...] = ()
-    const_value: Optional[int] = None
-    symbol: Optional[str] = None
-    clamp: Optional[str] = None
+    """A request referenced a NodeRef that is not live in the graph."""
 
 
 @dataclass(frozen=True)
@@ -106,11 +107,6 @@ class Node:
     def cons_key(self):
         return (self.kind, self.inputs, self.const_value, self.symbol,
                 self.clamp, self.serial)
-
-
-def _spec_of(node: Node) -> NodeSpec:
-    return NodeSpec(node.kind, node.inputs, node.const_value, node.symbol,
-                    node.clamp)
 
 
 class Dfg:
@@ -138,11 +134,8 @@ class Dfg:
         except KeyError:
             raise DeadNodeError(f"node {ref} is not live") from None
 
-    def is_const(self, ref: NodeRef, value: Optional[int] = None) -> bool:
-        n = self.node(ref)
-        if n.kind is not NodeKind.CONST:
-            return False
-        return value is None or n.const_value == value
+    def is_const(self, ref: NodeRef) -> bool:
+        return self.node(ref).kind is NodeKind.CONST
 
     def const_value(self, ref: NodeRef) -> int:
         n = self.node(ref)
@@ -154,7 +147,7 @@ class Dfg:
     def _check_live(self, refs: Iterable[NodeRef]) -> None:
         for r in refs:
             if r not in self.nodes:
-                raise DeadNodeError(f"spec references dead node {r}")
+                raise DeadNodeError(f"request references dead node {r}")
 
     # ------------------------------------------------------------------
     # node creation
@@ -196,55 +189,31 @@ class Dfg:
         symbol = None if target is None else f"0x{target:x}"
         return self._insert(NodeKind.CALL, inputs, symbol=symbol, serial=serial)
 
-    def request_operation(self, spec: NodeSpec) -> NodeRef:
-        """Normalize ``spec`` to a fixed point of the rewrite system and
-        return the (possibly pre-existing) node implementing it."""
-        kind = spec.kind
-        if kind is NodeKind.CONST:
-            if spec.const_value is None:
-                raise GraphError("CONST spec without a value")
-            return self.request_constant(spec.const_value)
-        if kind is NodeKind.INPUT:
-            if not spec.symbol:
-                raise GraphError("INPUT spec without a symbol")
-            return self.request_input(spec.symbol)
-        if kind is NodeKind.OPAQUE:
-            return self.request_opaque(spec.inputs, spec.clamp)
-        if kind is NodeKind.CALL:
-            target = int(spec.symbol, 16) if spec.symbol else None
-            return self.request_call(spec.inputs, target)
-
-        inputs = tuple(spec.inputs)
+    def request_operation(self, kind: NodeKind,
+                          inputs: Iterable[NodeRef]) -> NodeRef:
+        """Normalize the operation ``kind`` over ``inputs`` to a fixed
+        point of the rewrite system and return the (possibly
+        pre-existing) node implementing it.  ``kind`` is one of
+        `_OPERATIONS`; the other kinds have their own request methods."""
+        if kind not in _OPERATIONS:
+            raise GraphError(f"{kind} is not an operation")
+        inputs = tuple(inputs)
+        least, most = ARITY[kind]
+        if len(inputs) < least or (most is not None and len(inputs) > most):
+            want = str(least) if most == least else f"at least {least}"
+            raise GraphError(
+                f"{kind.value} takes {want} inputs, got {len(inputs)}")
         self._check_live(inputs)
-
-        if kind is NodeKind.LOAD:
-            if len(inputs) != 1:
-                raise GraphError("LOAD takes exactly one input")
-            return self.request_load(inputs[0])
-        if kind is NodeKind.STORE:
-            if len(inputs) != 2:
-                raise GraphError("STORE takes (address, value)")
-            return self.record_store(inputs[0], inputs[1])
-
         if kind in COMMUTATIVE:
             return self._build_commutative(kind, inputs)
-        if kind in (NodeKind.SHL, NodeKind.SHR, NodeKind.ROTATE):
-            if len(inputs) != 2:
-                raise GraphError(f"{kind.value} takes (value, amount)")
-            return self._build_shift(kind, inputs[0], inputs[1])
         if kind is NodeKind.SUB:
-            if len(inputs) != 2:
-                raise GraphError("SUB takes (minuend, subtrahend)")
-            return self._build_sub(inputs[0], inputs[1])
-        raise GraphError(f"unhandled kind {kind}")
+            return self._build_sub(*inputs)
+        return self._build_shift(kind, *inputs)
 
     # ------------------------------------------------------------------
     # rewrite rules
 
     def _build_commutative(self, kind: NodeKind, inputs: tuple[NodeRef, ...]) -> NodeRef:
-        if len(inputs) < 2:
-            raise GraphError(f"{kind.value} needs at least 2 inputs")
-
         # (d) flatten same-kind children into one variadic node
         flat: list[NodeRef] = []
         for i in inputs:
@@ -350,6 +319,19 @@ class Dfg:
                 NodeKind.ADD, (minuend, self.request_constant(comp)))
         return self._insert(NodeKind.SUB, (minuend, subtrahend))
 
+    def base_offset(self, ref: NodeRef) -> Optional[tuple[NodeRef, int]]:
+        """(base, k) when ``ref`` is a two-input ADD of ``base`` and the
+        constant k, else None."""
+        node = self.node(ref)
+        if node.kind is not NodeKind.ADD or len(node.inputs) != 2:
+            return None
+        a, b = node.inputs
+        if self.nodes[b].kind is NodeKind.CONST:
+            return a, self.nodes[b].const_value
+        if self.nodes[a].kind is NodeKind.CONST:
+            return b, self.nodes[a].const_value
+        return None
+
     # ------------------------------------------------------------------
     # memory
 
@@ -443,11 +425,6 @@ class Dfg:
                 raise GraphError(f"cons table out of sync for node {ref}")
         if len(self.cons_table) != len(self.nodes):
             raise GraphError("cons table has stale entries")
-
-    def respec(self, ref: NodeRef) -> NodeSpec:
-        """The spec a live node would be requested with (for idempotence
-        checks: requesting respec(r) must return r)."""
-        return _spec_of(self.node(ref))
 
 
 def _fold(kind: NodeKind, a: int, b: int) -> int:

@@ -1,9 +1,10 @@
 """Graph matching: subgraph embedding of signatures and a structural
 classifier for chained compression functions.
 
-Both the production matcher and the exhaustive oracle decide validity
-with the same predicate (`_assignment_ok`), so the two can only
-disagree on enumeration, never on acceptance.
+Every mapping the matcher returns has passed `_assignment_ok`, the
+full match predicate.  The test suite's exhaustive oracle filters
+through the same predicate, so the two can only disagree on
+enumeration, never on acceptance.
 """
 
 from __future__ import annotations
@@ -18,13 +19,9 @@ from .dfg import COMMUTATIVE, Dfg, Node, NodeKind, NodeRef
 from .sigdsl import SignatureGraph
 
 __all__ = [
-    "Mapping", "BlockPermReport", "SizeLimitError", "TargetIndex",
-    "match_signature", "brute_force_match", "classify_block_permutation",
+    "Mapping", "BlockPermReport", "TargetIndex", "match_signature",
+    "classify_block_permutation",
 ]
-
-
-class SizeLimitError(Exception):
-    pass
 
 
 @dataclass
@@ -100,64 +97,6 @@ def _assignment_ok(sig: SignatureGraph, target: Dfg,
         if bindings.setdefault(label, tag) is not tag:
             return None
     return Mapping(dict(m), bindings)
-
-
-# ------------------------------------------------- exhaustive oracle
-
-
-_BRUTE_SIG_LIMIT = 8
-_BRUTE_TARGET_LIMIT = 14
-
-
-def brute_force_match(sig: SignatureGraph,
-                      target: Dfg) -> list[Mapping]:
-    """Enumerates every injective assignment and filters through the
-    predicate.
-
-    Signature nodes are filled in ascending id order, which is
-    topological, so when a node is placed its inputs already are; a
-    placement violating the tag or input conjuncts of the predicate on
-    decided values can never become valid later, and skipping it drops
-    no assignments from the result.  Every completed assignment still
-    goes through the full predicate."""
-    sig_nodes = sorted(sig.graph.nodes)
-    target_nodes = sorted(target.nodes)
-    if len(sig_nodes) > _BRUTE_SIG_LIMIT:
-        raise SizeLimitError(
-            f"signature has {len(sig_nodes)} nodes, "
-            f"limit {_BRUTE_SIG_LIMIT}")
-    if len(target_nodes) > _BRUTE_TARGET_LIMIT:
-        raise SizeLimitError(
-            f"target has {len(target_nodes)} nodes, "
-            f"limit {_BRUTE_TARGET_LIMIT}")
-
-    out = []
-    m: dict[NodeRef, NodeRef] = {}
-    used: set[NodeRef] = set()
-
-    def place(i: int) -> None:
-        if i == len(sig_nodes):
-            mapping = _assignment_ok(sig, target, m)
-            if mapping is not None:
-                out.append(mapping)
-            return
-        s_ref = sig_nodes[i]
-        s = sig.graph.node(s_ref)
-        for t_ref in target_nodes:
-            if t_ref in used:
-                continue
-            t = target.node(t_ref)
-            if not _node_tag_ok(s, t):
-                continue
-            m[s_ref] = t_ref
-            if _inputs_ok(sig, s_ref, s, t, m):
-                used.add(t_ref)
-                place(i + 1)
-                used.discard(t_ref)
-            del m[s_ref]
-
-    place(0)
-    return out
 
 
 # ----------------------------------------------- production matcher
@@ -522,18 +461,10 @@ def _offset_loads(target: Dfg) -> dict[NodeRef,
     for ref, node in target.nodes.items():
         if node.kind is not NodeKind.LOAD:
             continue
-        addr = target.node(node.inputs[0])
-        if addr.kind is not NodeKind.ADD or len(addr.inputs) != 2:
-            continue
-        a, b = addr.inputs
-        if target.node(b).kind is NodeKind.CONST:
-            base, k = a, target.node(b).const_value
-        elif target.node(a).kind is NodeKind.CONST:
-            base, k = b, target.node(a).const_value
-        else:
-            continue
-        assert k is not None
-        groups.setdefault(base, []).append((k, ref, node.inputs[0]))
+        found = target.base_offset(node.inputs[0])
+        if found is not None:
+            base, k = found
+            groups.setdefault(base, []).append((k, ref, node.inputs[0]))
     return groups
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Union
 
-from .dfg import Dfg, NodeKind, NodeRef, NodeSpec
+from .dfg import ARITY, Dfg, NodeKind, NodeRef
 
 __all__ = [
     "ParseError", "ArityError", "Literal", "LabelRef", "OpCall",
@@ -119,16 +119,18 @@ class SignatureDoc:
     variants: tuple[VariantDef, ...]
 
 
-_OP_KEYWORDS = ("STORE", "LOAD", "XOR", "OR", "AND", "MULT", "ROTATE")
-_ARITY = {"STORE": (2, 2), "LOAD": (1, 1), "ROTATE": (2, 2),
-          "XOR": (2, None), "OR": (2, None), "AND": (2, None),
-          "MULT": (2, None)}
+#: The node kind of each operation keyword and infix operator.
+_OP_KIND = {"STORE": NodeKind.STORE, "LOAD": NodeKind.LOAD,
+            "XOR": NodeKind.XOR, "OR": NodeKind.OR, "AND": NodeKind.AND,
+            "MULT": NodeKind.MULT, "ROTATE": NodeKind.ROTATE,
+            "+": NodeKind.ADD, "<<": NodeKind.SHL, ">>": NodeKind.SHR}
+_OP_KEYWORDS = {op for op in _OP_KIND if op.isalpha()}
 
 
 def _check_arity(op: str, got: int, line: int, column: int) -> None:
     """Raises `ArityError` unless `op` takes `got` arguments; a tree
     built in code, not parsed, reports line and column 0."""
-    lo, hi = _ARITY[op]
+    lo, hi = ARITY[_OP_KIND[op]]
     if got < lo or (hi is not None and got > hi):
         want = str(lo) if hi == lo else f"at least {lo}"
         raise ArityError(line, column, op, got, want)
@@ -138,8 +140,8 @@ def _check_arity(op: str, got: int, line: int, column: int) -> None:
 # expressions; deeper nesting is a ParseError, not a recursion overflow
 # in the parser or in the code that walks the tree.
 MAX_NESTING = 64
-_RESERVED = set(_OP_KEYWORDS) | {"OPAQUE", "TRANSIENT", "IDENTIFIER",
-                                 "VARIANT"}
+_RESERVED = _OP_KEYWORDS | {"OPAQUE", "TRANSIENT", "IDENTIFIER",
+                            "VARIANT"}
 
 
 # ------------------------------------------------------------- lexer
@@ -495,13 +497,6 @@ class SignatureGraph:
                                   compare=False)
 
 
-_OPCALL_KIND = {"XOR": NodeKind.XOR, "OR": NodeKind.OR,
-                "AND": NodeKind.AND, "MULT": NodeKind.MULT,
-                "ROTATE": NodeKind.ROTATE}
-_INFIX_KIND = {"+": NodeKind.ADD, "<<": NodeKind.SHL,
-               ">>": NodeKind.SHR}
-
-
 def _build_expr(g: Dfg, expr: Expr, labels: dict[str, NodeRef],
                 clamp_map: dict[NodeRef, str]) -> NodeRef:
     if isinstance(expr, Literal):
@@ -515,20 +510,15 @@ def _build_expr(g: Dfg, expr: Expr, labels: dict[str, NodeRef],
         if expr.clamp is not None:
             clamp_map[ref] = expr.clamp
         return ref
-    if isinstance(expr, OpCall):
-        _check_arity(expr.op, len(expr.args), 0, 0)
-        args = [_build_expr(g, a, labels, clamp_map)
-                for a in expr.args]
-        if expr.op == "STORE":
-            return g.record_store(args[0], args[1])
-        if expr.op == "LOAD":
-            return g.request_load(args[0])
-        return g.request_operation(
-            NodeSpec(_OPCALL_KIND[expr.op], tuple(args)))
-    assert isinstance(expr, Infix)
+    _check_arity(expr.op, len(expr.args), 0, 0)
+    kind = _OP_KIND[expr.op]
     args = tuple(_build_expr(g, a, labels, clamp_map)
                  for a in expr.args)
-    return g.request_operation(NodeSpec(_INFIX_KIND[expr.op], args))
+    if kind is NodeKind.STORE:
+        return g.record_store(*args)
+    if kind is NodeKind.LOAD:
+        return g.request_load(*args)
+    return g.request_operation(kind, args)
 
 
 def build_variant(v: VariantDef) -> SignatureGraph:

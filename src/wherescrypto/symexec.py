@@ -221,14 +221,13 @@ class Config:
 
 class ExecState:
     def __init__(self, graph: Dfg, pc: int, regs: dict[str, NodeRef],
-                 image: Optional[bytes], base: int, depth: int):
+                 image: Optional[bytes], base: int):
         self.graph = graph
         self.pc = pc
         self.regs = regs
         self.path_condition = PathCondition()
         self.backlog: dict[int, list[bool]] = {}
         self.call_stack: list[int] = []
-        self.inline_depth_remaining = depth
         self.flag_source: Optional[tuple[NodeRef, NodeRef]] = None
         self.approx: set[str] = set()
         self.flags: set[str] = set()
@@ -238,11 +237,11 @@ class ExecState:
         self.steps = 0
 
     @staticmethod
-    def initial(entry: int, image: Optional[bytes], base: int,
-                config: Config) -> "ExecState":
+    def initial(entry: int, image: Optional[bytes],
+                base: int) -> "ExecState":
         g = Dfg()
         regs = {name: g.request_input(name) for name in arm.REG_NAMES}
-        return ExecState(g, entry, regs, image, base, config.depth)
+        return ExecState(g, entry, regs, image, base)
 
     def fork(self) -> "ExecState":
         s = ExecState.__new__(ExecState)
@@ -252,7 +251,6 @@ class ExecState:
         s.path_condition = self.path_condition.copy()
         s.backlog = {e: list(d) for e, d in self.backlog.items()}
         s.call_stack = list(self.call_stack)
-        s.inline_depth_remaining = self.inline_depth_remaining
         s.flag_source = self.flag_source
         s.approx = set(self.approx)
         s.flags = set(self.flags)
@@ -314,13 +312,8 @@ def handle_conditional(state: ExecState, e: int, cond: Condition,
 def _stack_address(graph: Dfg, addr: NodeRef, sp_input: NodeRef) -> bool:
     if addr == sp_input:
         return True
-    node = graph.node(addr)
-    if node.kind is not NodeKind.ADD or len(node.inputs) != 2:
-        return False
-    a, b = node.inputs
-    if a == sp_input and graph.is_const(b):
-        return True
-    return b == sp_input and graph.is_const(a)
+    found = graph.base_offset(addr)
+    return found is not None and found[0] == sp_input
 
 
 def purge_roots(graph: Dfg, state_regs: dict[str, NodeRef],
@@ -366,7 +359,7 @@ class Explorer:
 
     def explore(self, entry: int) -> list[PathResult]:
         config = self.config
-        first = ExecState.initial(entry, self.image, self.base, config)
+        first = ExecState.initial(entry, self.image, self.base)
         stack = [first]
         results: list[PathResult] = []
         deadline = time.monotonic() + config.timeout
@@ -457,7 +450,6 @@ class Explorer:
             target = outcome.target
             if state.call_stack and target == state.call_stack[-1]:
                 state.call_stack.pop()
-                state.inline_depth_remaining += 1
             state.pc = target
             return None
         if kind is OutcomeKind.CALL:
@@ -469,9 +461,9 @@ class Explorer:
     def _handle_call(self, state: ExecState, target: int,
                      return_address: int) -> None:
         g = state.graph
-        if state.inline_depth_remaining > 0 and self._decodable(target):
+        if (len(state.call_stack) < self.config.depth
+                and self._decodable(target)):
             state.call_stack.append(return_address)
-            state.inline_depth_remaining -= 1
             state.regs["LR"] = g.request_constant(return_address)
             state.pc = target
             return

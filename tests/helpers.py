@@ -1,23 +1,25 @@
-"""Shared test utilities: randomized NodeSpec sequence driver,
+"""Shared test utilities: randomized sequences of broker requests,
 signature/target pair generators for the matcher-versus-oracle battery,
-a plain reference matcher with generators for large targets, and the
-branch-per-operator interval judge that `symexec._judge_interval`
-restates.
+the exhaustive matching oracle, a plain reference matcher with
+generators for large targets, and the branch-per-operator interval
+judge that `symexec._judge_interval` restates.
 
-Used by both the unit property tests and the acceptance suite.  The
-spec generator sticks to structural node kinds: OPAQUE and CALL mint a
-fresh serial per request by design (they are events/wildcards, not
-expressions), so re-requesting their spec intentionally yields a new
-node and they are exercised by their own tests instead.
+Used by both the unit property tests and the acceptance suite.  A spec
+is a (kind, arguments) pair that `request_spec` sends to the broker
+method for its kind.  The spec generator sticks to structural node
+kinds: OPAQUE and CALL mint a fresh serial per request by design (they
+are events/wildcards, not expressions), so re-requesting their spec
+intentionally yields a new node and they are exercised by their own
+tests instead.
 """
 
 from __future__ import annotations
 
 import random
 
-from wherescrypto.dfg import COMMUTATIVE, Dfg, NodeKind, NodeSpec
-from wherescrypto.matcher import (Mapping, _assignment_ok, _node_tag_ok,
-                                  _ordered, _subset_arity)
+from wherescrypto.dfg import COMMUTATIVE, Dfg, Node, NodeKind
+from wherescrypto.matcher import (Mapping, _assignment_ok, _inputs_ok,
+                                  _node_tag_ok, _ordered, _subset_arity)
 from wherescrypto.sigdsl import SignatureGraph
 from wherescrypto.symexec import Verdict
 
@@ -25,23 +27,49 @@ _BINARY = [NodeKind.SHL, NodeKind.SHR, NodeKind.ROTATE, NodeKind.SUB]
 _VARIADIC = [NodeKind.ADD, NodeKind.MULT, NodeKind.XOR, NodeKind.AND, NodeKind.OR]
 
 
-def random_structural_spec(rng: random.Random, pool: list[int]) -> NodeSpec:
+Spec = tuple[NodeKind, tuple]
+
+
+def request_spec(g: Dfg, spec: Spec) -> int:
+    """Request ``spec`` through the broker method for its kind."""
+    kind, args = spec
+    if kind is NodeKind.CONST:
+        return g.request_constant(*args)
+    if kind is NodeKind.INPUT:
+        return g.request_input(*args)
+    if kind is NodeKind.LOAD:
+        return g.request_load(*args)
+    if kind is NodeKind.STORE:
+        return g.record_store(*args)
+    return g.request_operation(kind, args)
+
+
+def spec_of(node: Node) -> Spec:
+    """The spec a structural node would be requested with."""
+    if node.kind is NodeKind.CONST:
+        return node.kind, (node.const_value,)
+    if node.kind is NodeKind.INPUT:
+        return node.kind, (node.symbol,)
+    return node.kind, node.inputs
+
+
+def random_structural_spec(rng: random.Random, pool: list[int]) -> Spec:
     roll = rng.random()
     if roll < 0.15 or len(pool) < 2:
         if rng.random() < 0.5:
-            return NodeSpec(NodeKind.CONST, const_value=rng.choice(
-                [0, 1, 2, 4, 0xFF, 0xFFFFFFFF, rng.getrandbits(32)]))
-        return NodeSpec(NodeKind.INPUT, symbol=f"R{rng.randrange(13)}")
+            return NodeKind.CONST, (rng.choice(
+                [0, 1, 2, 4, 0xFF, 0xFFFFFFFF, rng.getrandbits(32)]),)
+        return NodeKind.INPUT, (f"R{rng.randrange(13)}",)
     if roll < 0.25:
-        return NodeSpec(NodeKind.LOAD, (rng.choice(pool),))
+        return NodeKind.LOAD, (rng.choice(pool),)
     if roll < 0.35:
-        return NodeSpec(NodeKind.STORE, (rng.choice(pool), rng.choice(pool)))
+        return NodeKind.STORE, (rng.choice(pool), rng.choice(pool))
     if roll < 0.55:
         kind = rng.choice(_BINARY)
-        return NodeSpec(kind, (rng.choice(pool), rng.choice(pool)))
+        return kind, (rng.choice(pool), rng.choice(pool))
     kind = rng.choice(_VARIADIC)
     arity = rng.randrange(2, 5)
-    return NodeSpec(kind, tuple(rng.choice(pool) for _ in range(arity)))
+    return kind, tuple(rng.choice(pool) for _ in range(arity))
 
 
 def drive_spec_sequence(seed: int, count: int) -> Dfg:
@@ -51,7 +79,7 @@ def drive_spec_sequence(seed: int, count: int) -> Dfg:
     Two shapes of the property, both checked each step:
 
     * stability: re-requesting the very same spec returns the same ref;
-    * respec idempotence: re-requesting the returned node's own spec
+    * spec idempotence: re-requesting the returned node's own spec
       returns that node again.
 
     The one carve-out: a returned LOAD node whose address has a memory
@@ -65,17 +93,17 @@ def drive_spec_sequence(seed: int, count: int) -> Dfg:
     pool: list[int] = []
     for _ in range(count):
         spec = random_structural_spec(rng, pool)
-        ref = g.request_operation(spec)
-        stable = g.request_operation(spec)
+        ref = request_spec(g, spec)
+        stable = request_spec(g, spec)
         assert stable == ref, f"unstable result for {spec}: {ref} != {stable}"
         node = g.node(ref)
-        again = g.request_operation(g.respec(ref))
+        again = request_spec(g, spec_of(node))
         if node.kind is NodeKind.LOAD:
             expect = g.store_map.get(node.inputs[0], ref)
         else:
             expect = ref
         assert again == expect, (
-            f"idempotence violated for {g.respec(ref)}: "
+            f"idempotence violated for {spec_of(node)}: "
             f"{expect} != {again}")
         pool.append(ref)
     g.check_consing_invariants()
@@ -107,10 +135,8 @@ def _grow(g: Dfg, rng: random.Random, refs: list[int],
         return g.request_load(rng.choice(refs))
     if kind in (NodeKind.SHL, NodeKind.SHR, NodeKind.ROTATE):
         amount = g.request_constant(rng.randint(1, 31))
-        return g.request_operation(
-            NodeSpec(kind, (rng.choice(refs), amount)))
-    return g.request_operation(
-        NodeSpec(kind, (rng.choice(refs), rng.choice(refs))))
+        return g.request_operation(kind, (rng.choice(refs), amount))
+    return g.request_operation(kind, (rng.choice(refs), rng.choice(refs)))
 
 
 def random_signature(rng: random.Random) -> SignatureGraph:
@@ -176,8 +202,7 @@ def random_target(rng: random.Random, sig: SignatureGraph) -> Dfg:
                     if (node.kind in COMMUTATIVE
                             and rng.random() < 0.3):
                         ins.append(g.request_input(f"N{s_ref}"))
-                    m[s_ref] = g.request_operation(
-                        NodeSpec(node.kind, tuple(ins)))
+                    m[s_ref] = g.request_operation(node.kind, ins)
             refs.extend(m.values())
         else:
             for _ in range(rng.randint(1, 3)):
@@ -187,6 +212,69 @@ def random_target(rng: random.Random, sig: SignatureGraph) -> Dfg:
             refs.append(_grow(g, rng, refs, clamp_sink))
         if 1 <= len(g.nodes) <= 14:
             return g
+
+
+# ----------------------------------------------------------------------
+# the exhaustive oracle
+
+
+class SizeLimitError(Exception):
+    pass
+
+
+_BRUTE_SIG_LIMIT = 8
+_BRUTE_TARGET_LIMIT = 14
+
+
+def brute_force_match(sig: SignatureGraph,
+                      target: Dfg) -> list[Mapping]:
+    """Enumerates every injective assignment and filters through the
+    matcher's own predicate, `matcher._assignment_ok`.
+
+    Signature nodes are filled in ascending id order, which is
+    topological, so when a node is placed its inputs already are; a
+    placement violating the tag or input conjuncts of the predicate on
+    decided values can never become valid later, and skipping it drops
+    no assignments from the result.  Every completed assignment still
+    goes through the full predicate."""
+    sig_nodes = sorted(sig.graph.nodes)
+    target_nodes = sorted(target.nodes)
+    if len(sig_nodes) > _BRUTE_SIG_LIMIT:
+        raise SizeLimitError(
+            f"signature has {len(sig_nodes)} nodes, "
+            f"limit {_BRUTE_SIG_LIMIT}")
+    if len(target_nodes) > _BRUTE_TARGET_LIMIT:
+        raise SizeLimitError(
+            f"target has {len(target_nodes)} nodes, "
+            f"limit {_BRUTE_TARGET_LIMIT}")
+
+    out = []
+    m: dict[int, int] = {}
+    used: set[int] = set()
+
+    def place(i: int) -> None:
+        if i == len(sig_nodes):
+            mapping = _assignment_ok(sig, target, m)
+            if mapping is not None:
+                out.append(mapping)
+            return
+        s_ref = sig_nodes[i]
+        s = sig.graph.node(s_ref)
+        for t_ref in target_nodes:
+            if t_ref in used:
+                continue
+            t = target.node(t_ref)
+            if not _node_tag_ok(s, t):
+                continue
+            m[s_ref] = t_ref
+            if _inputs_ok(sig, s_ref, s, t, m):
+                used.add(t_ref)
+                place(i + 1)
+                used.discard(t_ref)
+            del m[s_ref]
+
+    place(0)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -338,7 +426,7 @@ def _embed(g: Dfg, rng: random.Random, sig: SignatureGraph,
         else:
             if node.kind in COMMUTATIVE and rng.random() < 0.2:
                 ins.append(g.request_input(f"N{rng.randrange(40)}"))
-            m[s_ref] = g.request_operation(NodeSpec(node.kind, tuple(ins)))
+            m[s_ref] = g.request_operation(node.kind, ins)
     return list(m.values())
 
 
@@ -359,7 +447,7 @@ def _orphan(g: Dfg, rng: random.Random, sig: SignatureGraph,
         ins[1] = sig.graph.node(node.inputs[1]).const_value
         ins[1] = g.request_constant(ins[1] if ins[1] is not None
                                     else rng.randint(1, 31))
-    return g.request_operation(NodeSpec(node.kind, tuple(ins)))
+    return g.request_operation(node.kind, ins)
 
 
 def copies_target(rng: random.Random, sig: SignatureGraph,
@@ -381,8 +469,8 @@ def copies_target(rng: random.Random, sig: SignatureGraph,
             refs.append(_orphan(g, rng, sig, refs))
     filler = g.request_input("F")
     while len(g.nodes) < size:
-        filler = g.request_operation(NodeSpec(
-            NodeKind.SUB, (filler, g.request_input(f"F{len(g.nodes)}"))))
+        filler = g.request_operation(
+            NodeKind.SUB, (filler, g.request_input(f"F{len(g.nodes)}")))
     return g
 
 
@@ -394,11 +482,11 @@ def chain_signature(rng: random.Random, steps: int) -> SignatureGraph:
     h = g.request_input("H")
     for i in range(steps):
         k = g.request_constant(0x1000 + i)
-        h = g.request_operation(NodeSpec(NodeKind.XOR, (h, k)))
+        h = g.request_operation(NodeKind.XOR, (h, k))
         if rng.random() < 0.2:
             h = g.request_load(h)
         r = g.request_constant(rng.randint(1, 31))
-        h = g.request_operation(NodeSpec(NodeKind.ROTATE, (h, r)))
+        h = g.request_operation(NodeKind.ROTATE, (h, r))
     g.purge([h])
     return SignatureGraph(g)
 

@@ -29,11 +29,12 @@ from pathlib import Path
 
 import pytest
 
-from helpers import drive_spec_sequence, random_signature, random_target
+from helpers import (brute_force_match, drive_spec_sequence,
+                     random_signature, random_target)
 from wherescrypto import cli
 from wherescrypto.asm import assemble
-from wherescrypto.dfg import Dfg, NodeKind, NodeSpec
-from wherescrypto.matcher import brute_force_match, match_signature
+from wherescrypto.dfg import Dfg, NodeKind
+from wherescrypto.matcher import match_signature
 from wherescrypto.report import AnalysisConfig, analyze_binary
 from wherescrypto.siglib import load_builtin, load_catalog
 from wherescrypto.symexec import Config, Status, explore
@@ -46,7 +47,7 @@ MATCH_TIME_CEILING = 3.5
 
 
 def _op(g: Dfg, kind: NodeKind, *refs: int) -> int:
-    return g.request_operation(NodeSpec(kind, refs))
+    return g.request_operation(kind, refs)
 
 
 def _require_two_compilers() -> list[str]:

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wherescrypto import arm
+from wherescrypto import arm, asm
 from wherescrypto.arm import OutcomeKind, UndecodableError, decode_word
 from wherescrypto.asm import AsmError, assemble
 from wherescrypto.dfg import MASK32, NodeKind
-from wherescrypto.symexec import Config, ExecState
+from wherescrypto.symexec import ExecState
 
 BATTERY = """\
 mov r0, #4
@@ -211,7 +211,7 @@ def test_decode_and_lift_contract(word, address):
     except UndecodableError:
         return
     image = word.to_bytes(4, "little")
-    state = ExecState.initial(address, image, address, Config(timeout=1))
+    state = ExecState.initial(address, image, address)
     if ins.cond != "AL":
         (v1, op, v2), expect = arm.condition_info(state, ins.cond)
         assert {v1, v2} <= set(state.graph.nodes)
@@ -233,6 +233,35 @@ def test_assembler_rejects_unencodable_immediate():
         assemble("mov r0, #0x12345")
 
 
+@pytest.mark.parametrize("line", [
+    "mul r0, r1", "mla r0", "add r0", "eor r1", "mov", "cmp",
+    "nop r0", "str r0, =5", "add r0, r1, r2, lsl #3, r4",
+])
+def test_assembler_rejects_bad_operand_counts(line):
+    with pytest.raises(AsmError):
+        assemble(line)
+
+
+_ASM_FRAGMENTS = ("r0", "r1", "sp", "pc", "#4", "#0x104", "#-1", "#",
+                  "[r1", "[r1]", "[r1, #4]", "[r1], #4", "{r2}", "{r1-r3}",
+                  "{}", "r1!", "lsl #3", "lsl r2", "ror", "=5", "top",
+                  "nowhere")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(asm._BASES),
+       st.sampled_from(("", "eq", "ne", "hs", "lo", "gt", "al")),
+       st.sampled_from(("", "s")), st.booleans(),
+       st.lists(st.sampled_from(_ASM_FRAGMENTS), max_size=4))
+def test_assembler_raises_only_asm_error(base, cond, s, s_first, fragments):
+    mnemonic = base + (s + cond if s_first else cond + s)
+    line = " ".join([mnemonic, ", ".join(fragments)]).strip()
+    try:
+        assemble(f"top: {line}\nbx lr")
+    except AsmError:
+        pass
+
+
 def test_literal_pool_pseudo():
     image = assemble("ldr r0, =0x9e3779b9\nbx lr")
     ins = decode_word(int.from_bytes(image[:4], "little"), 0)
@@ -249,7 +278,7 @@ def lift(text: str, steps: int | None = None, entry: int = 0):
     they fall through.  A conditional instruction stops the walk before
     its body runs and comes back as its ``condition_info`` pair."""
     image = assemble(text, origin=entry)
-    state = ExecState.initial(entry, image, entry, Config(timeout=1))
+    state = ExecState.initial(entry, image, entry)
     count = steps if steps is not None else len(image) // 4
     outcome = None
     for _ in range(count):

@@ -21,16 +21,15 @@ from wherescrypto.dfg import (
     Dfg,
     GraphError,
     NodeKind,
-    NodeSpec,
 )
 
 
 def add(g: Dfg, *refs: int) -> int:
-    return g.request_operation(NodeSpec(NodeKind.ADD, refs))
+    return g.request_operation(NodeKind.ADD, refs)
 
 
 def op(g: Dfg, kind: NodeKind, *refs: int) -> int:
-    return g.request_operation(NodeSpec(kind, refs))
+    return g.request_operation(kind, refs)
 
 
 # ---------------------------------------------------------------- goldens
@@ -465,9 +464,47 @@ def test_uniqueness_no_two_live_nodes_share_structure():
 def test_request_operation_rejects_bad_arity():
     g = Dfg()
     x = g.request_input("R0")
+    y = g.request_input("R1")
     with pytest.raises(GraphError):
-        g.request_operation(NodeSpec(NodeKind.ADD, (x,)))
+        g.request_operation(NodeKind.ADD, (x,))
     with pytest.raises(GraphError):
-        g.request_operation(NodeSpec(NodeKind.SHL, (x,)))
+        g.request_operation(NodeKind.SHL, (x,))
     with pytest.raises(GraphError):
-        g.request_operation(NodeSpec(NodeKind.CONST))
+        g.request_operation(NodeKind.CONST, ())
+    # the six kinds with their own request methods, at any count
+    for kind in (NodeKind.CONST, NodeKind.INPUT, NodeKind.OPAQUE,
+                 NodeKind.CALL, NodeKind.LOAD, NodeKind.STORE):
+        for inputs in ((), (x,), (x, y)):
+            with pytest.raises(GraphError):
+                g.request_operation(kind, inputs)
+    # every operation at every wrong count
+    for kind in (NodeKind.ADD, NodeKind.MULT, NodeKind.XOR, NodeKind.AND,
+                 NodeKind.OR):
+        for inputs in ((), (x,)):
+            with pytest.raises(GraphError):
+                g.request_operation(kind, inputs)
+    for kind in (NodeKind.SHL, NodeKind.SHR, NodeKind.ROTATE, NodeKind.SUB):
+        for inputs in ((), (x,), (x, y, x)):
+            with pytest.raises(GraphError):
+                g.request_operation(kind, inputs)
+    assert g.serialize() == "0: INPUT() [R0]\n1: INPUT() [R1]"
+
+
+def test_base_offset_reads_base_plus_constant():
+    g = Dfg()
+    early = g.request_constant(12)
+    x = g.request_input("R0")
+    y = g.request_input("R1")
+    k = g.request_constant(8)
+    # inputs are sorted by ref, so the constant is first or second
+    assert g.node(add(g, y, early)).inputs == (early, y)
+    assert g.node(add(g, x, k)).inputs == (x, k)
+    assert g.base_offset(add(g, y, early)) == (y, 12)
+    assert g.base_offset(add(g, x, k)) == (x, 8)
+    # SUB of a constant is ADD of its complement
+    assert g.base_offset(op(g, NodeKind.SUB, x, k)) == (x, 0xFFFFFFF8)
+    assert g.base_offset(add(g, x, y)) is None
+    assert g.base_offset(add(g, x, y, k)) is None
+    assert g.base_offset(op(g, NodeKind.XOR, x, k)) is None
+    assert g.base_offset(x) is None
+    assert g.base_offset(k) is None

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from wherescrypto import arm
 from wherescrypto.asm import assemble
-from wherescrypto.symexec import Config, ExecState
+from wherescrypto.symexec import ExecState
 
 from test_arm import BATTERY
 
@@ -62,7 +62,7 @@ EXTRA_ORIGIN = 0x1000
 
 def lift_record(image: bytes, address: int, base: int,
                 flags_set: bool) -> dict:
-    state = ExecState.initial(address, image, base, Config(timeout=1))
+    state = ExecState.initial(address, image, base)
     if flags_set:
         state.flag_source = (state.regs["R9"],
                              state.graph.request_constant(7))

@@ -12,19 +12,18 @@ from collections import Counter
 
 import pytest
 
-from helpers import (chain_signature, copies_target, random_signature,
-                     random_target, reference_domains,
-                     reference_initial_domains, reference_match)
+from helpers import (SizeLimitError, brute_force_match, chain_signature,
+                     copies_target, random_signature, random_target,
+                     reference_domains, reference_initial_domains,
+                     reference_match)
 from wherescrypto.asm import assemble
-from wherescrypto.dfg import COMMUTATIVE, Dfg, NodeKind, NodeSpec
+from wherescrypto.dfg import COMMUTATIVE, Dfg, NodeKind
 from wherescrypto.matcher import (
     BlockPermReport,
-    SizeLimitError,
     TargetIndex,
     _initial_candidates,
     _links,
     _refine,
-    brute_force_match,
     classify_block_permutation,
     match_signature,
 )
@@ -55,7 +54,7 @@ def keys(mappings):
 
 
 def op(g: Dfg, kind: NodeKind, *refs: int) -> int:
-    return g.request_operation(NodeSpec(kind, refs))
+    return g.request_operation(kind, refs)
 
 
 # -------------------------------------------------- directed matches
@@ -318,8 +317,8 @@ def test_index_tables_are_the_operand_relation():
 def test_index_without_candidates_builds_no_tables():
     # a signature whose tags the target lacks fails before refinement
     target = Dfg()
-    target.request_operation(NodeSpec(
-        NodeKind.ADD, (target.request_input("A"), target.request_input("B"))))
+    target.request_operation(
+        NodeKind.ADD, (target.request_input("A"), target.request_input("B")))
     sig = build_variant(parse(
         "IDENTIFIER t\nVARIANT a\nx: ROTATE(OPAQUE, 3);").variants[0])
     index = TargetIndex(target)

@@ -465,6 +465,15 @@ def test_build_programmatic_bad_arity():
         (0, 0, "LOAD")
     assert str(info.value) == \
         "line 0, column 0: LOAD takes 1 argument(s), got 2"
+    # infix operators go through the same check
+    for expr, message in (
+            (Infix("+", (Literal(1),)), "+ takes at least 2"),
+            (Infix("<<", (Literal(1),) * 3), "<< takes 2")):
+        v = VariantDef("a", (Statement(False, None, expr),))
+        with pytest.raises(ArityError) as info:
+            build_variant(v)
+        assert str(info.value).startswith(
+            f"line 0, column 0: {message} argument(s), got ")
 
 
 def test_build_label_references_share_nodes():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from wherescrypto.dfg import Dfg, NodeKind, NodeSpec
+from wherescrypto.dfg import Dfg, NodeKind
 from wherescrypto.matcher import match_signature
 from wherescrypto.sigdsl import build_variant, parse, print_doc
 from wherescrypto.siglib import (
@@ -188,17 +188,14 @@ def saturated_feistel(chain: int) -> Dfg:
 
     def run_chain(source: int) -> int:
         value = g.request_operation(
-            NodeSpec(NodeKind.AND, (source, g.request_constant(0xFF))))
+            NodeKind.AND, (source, g.request_constant(0xFF)))
         for step in range(1, chain):
             kind = NodeKind.OR if step % 2 else NodeKind.AND
-            value = g.request_operation(
-                NodeSpec(kind, (value, source)))
+            value = g.request_operation(kind, (value, source))
         return value
 
-    x1 = g.request_operation(
-        NodeSpec(NodeKind.XOR, (left, run_chain(right))))
-    x2 = g.request_operation(
-        NodeSpec(NodeKind.XOR, (right, run_chain(x1))))
+    x1 = g.request_operation(NodeKind.XOR, (left, run_chain(right)))
+    x2 = g.request_operation(NodeKind.XOR, (right, run_chain(x1)))
     g.purge([x2])
     return g
 

@@ -200,7 +200,7 @@ def test_oracle_policy_table():
 
 def _state_for_conditional() -> ExecState:
     image = assemble("nop")
-    return ExecState.initial(0, image, 0, Config(timeout=1))
+    return ExecState.initial(0, image, 0)
 
 
 def test_handle_conditional_determined_skips_backlog():
@@ -402,6 +402,126 @@ unsigned int twice(unsigned int a) { return addmul(a, a); }
     result = g.node(results[0].result_ref)
     assert result.kind is NodeKind.OPAQUE
 
+
+CALL_CHAIN = """\
+f0: push {lr}
+    add r0, r0, #1
+    bl f1
+    pop {pc}
+f1: push {lr}
+    bl f2
+    mov r1, r0
+    bl f2
+    add r0, r0, r1
+    pop {pc}
+f2: push {lr}
+    bl f3
+    eor r0, r0, #0x55
+    bl f3
+    pop {pc}
+f3: add r0, r0, r0, lsl #2
+    bx lr
+"""
+
+# depth -> (CALL nodes left in the graph, serialized graph)
+CALL_CHAIN_GOLDEN = {
+    0: (1, (
+        "0: INPUT() [R0]\n"
+        "1: INPUT() [R1]\n"
+        "2: INPUT() [R2]\n"
+        "3: INPUT() [R3]\n"
+        "13: INPUT() [SP]\n"
+        "16: CONST() [0xfffffffc]\n"
+        "17: ADD(13, 16)\n"
+        "19: CONST() [0x1]\n"
+        "20: ADD(0, 19)\n"
+        "21: CALL(20, 1, 2, 3, 17) [0x10 #0]\n"
+        "22: OPAQUE(21) [#1]"
+    )),
+    1: (2, (
+        "0: INPUT() [R0]\n"
+        "1: INPUT() [R1]\n"
+        "2: INPUT() [R2]\n"
+        "3: INPUT() [R3]\n"
+        "13: INPUT() [SP]\n"
+        "19: CONST() [0x1]\n"
+        "20: ADD(0, 19)\n"
+        "22: CONST() [0xfffffff8]\n"
+        "23: ADD(13, 22)\n"
+        "25: CALL(20, 1, 2, 3, 23) [0x28 #0]\n"
+        "26: OPAQUE(25) [#1]\n"
+        "28: OPAQUE() [#3]\n"
+        "29: OPAQUE() [#4]\n"
+        "32: CALL(26, 26, 28, 29, 23) [0x28 #6]\n"
+        "33: OPAQUE(32) [#7]\n"
+        "34: OPAQUE() [#8]\n"
+        "39: ADD(33, 34)"
+    )),
+    2: (4, (
+        "0: INPUT() [R0]\n"
+        "1: INPUT() [R1]\n"
+        "2: INPUT() [R2]\n"
+        "3: INPUT() [R3]\n"
+        "13: INPUT() [SP]\n"
+        "19: CONST() [0x1]\n"
+        "20: ADD(0, 19)\n"
+        "26: CONST() [0xfffffff4]\n"
+        "27: ADD(13, 26)\n"
+        "29: CALL(20, 1, 2, 3, 27) [0x3c #0]\n"
+        "30: OPAQUE(29) [#1]\n"
+        "31: OPAQUE() [#2]\n"
+        "32: OPAQUE() [#3]\n"
+        "33: OPAQUE() [#4]\n"
+        "36: CONST() [0x55]\n"
+        "37: XOR(30, 36)\n"
+        "38: CALL(37, 31, 32, 33, 27) [0x3c #6]\n"
+        "39: OPAQUE(38) [#7]\n"
+        "41: OPAQUE() [#9]\n"
+        "42: OPAQUE() [#10]\n"
+        "48: CALL(39, 39, 41, 42, 27) [0x3c #12]\n"
+        "49: OPAQUE(48) [#13]\n"
+        "50: OPAQUE() [#14]\n"
+        "51: OPAQUE() [#15]\n"
+        "52: OPAQUE() [#16]\n"
+        "54: XOR(36, 49)\n"
+        "55: CALL(54, 50, 51, 52, 27) [0x3c #18]\n"
+        "56: OPAQUE(55) [#19]\n"
+        "57: OPAQUE() [#20]\n"
+        "61: ADD(56, 57)"
+    )),
+    3: (0, (
+        "0: INPUT() [R0]\n"
+        "19: CONST() [0x1]\n"
+        "20: ADD(0, 19)\n"
+        "30: CONST() [0x2]\n"
+        "31: SHL(20, 30)\n"
+        "32: ADD(0, 19, 31)\n"
+        "33: CONST() [0x55]\n"
+        "34: XOR(32, 33)\n"
+        "36: SHL(34, 30)\n"
+        "37: ADD(34, 36)\n"
+        "41: SHL(37, 30)\n"
+        "42: ADD(34, 36, 41)\n"
+        "43: XOR(33, 42)\n"
+        "44: SHL(43, 30)\n"
+        "46: ADD(34, 36, 43, 44)"
+    )),
+}
+
+
+def test_explore_call_chain_inlines_to_each_depth():
+    # f0 calls f1 once, f1 calls f2 twice and f2 calls f3 twice: each
+    # depth inlines one more level and cuts the chain with CALL nodes
+    # at the next, until depth 3 inlines everything
+    image = assemble(CALL_CHAIN)
+    for depth, (calls, serialized) in CALL_CHAIN_GOLDEN.items():
+        (r,) = explore(0, image, Config(timeout=5, depth=depth))
+        assert r.status is Status.COMPLETE
+        assert sum(n.kind is NodeKind.CALL
+                   for n in r.graph.nodes.values()) == calls
+        assert r.graph.serialize() == serialized
+    (deeper,) = explore(0, image, Config(timeout=5, depth=4))
+    assert deeper.graph.serialize() == CALL_CHAIN_GOLDEN[3][1]
 
 def test_explore_stack_stores_are_purged():
     image = assemble("str r1, [sp, #8]\nldr r0, [sp, #8]\nbx lr")
