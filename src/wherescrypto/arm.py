@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .dfg import MASK32, NodeKind, NodeRef
 
@@ -304,14 +304,16 @@ class OutcomeKind(Enum):
     RETURN = "RETURN"
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
+    # a named tuple: a branch makes one at every step, and a tuple is
+    # built in half the time of a frozen dataclass
     kind: OutcomeKind
     target: Optional[int] = None
     return_address: Optional[int] = None
 
 
-# outcomes are frozen, so every fall-through and return shares one instance
+# outcomes are immutable, so every fall-through and return shares one
+# instance
 _FALLTHROUGH = StepOutcome(OutcomeKind.FALLTHROUGH)
 _RETURN = StepOutcome(OutcomeKind.RETURN)
 

@@ -41,8 +41,11 @@ _BASES = sorted(
      "stmia", "stmib", "stmda", "stmdb", "stmfd", "stm"],
     key=len, reverse=True)
 
+# block transfers have no S form here: the S bit of LDM/STM selects user
+# mode registers, which the assembler does not encode
 _NO_FLAGS = {"cmp", "cmn", "tst", "b", "bl", "bx", "push", "pop",
-             "nop", "ldr", "str", "ldrb", "strb"}
+             "nop", "ldr", "str", "ldrb", "strb",
+             *(b for b in _BASES if b.startswith(("ldm", "stm")))}
 
 
 def encode_immediate(value: int) -> int | None:
@@ -191,6 +194,8 @@ class Assembler:
         target = self.labels.get(rest.strip())
         if target is None:
             target = _number(rest, no)
+            if target % 4:
+                raise AsmError(no, "branch target not word-aligned")
         offset = (target - (address + 8)) >> 2
         if not -(1 << 23) <= offset < (1 << 23):
             raise AsmError(no, "branch out of range")

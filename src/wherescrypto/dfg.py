@@ -11,9 +11,10 @@ forwarding is a constant-time dictionary lookup on the address node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from enum import Enum
-from typing import Iterable, Optional
+from functools import reduce
+from typing import Iterable, NamedTuple, Optional
 
 MASK32 = 0xFFFFFFFF
 MOD32 = 1 << 32
@@ -78,6 +79,21 @@ _ZERO = {
     NodeKind.AND: 0,
 }
 
+#: Integer meaning of each operation on 32-bit values, before the result
+#: is reduced mod 2^32.  Shift and rotate amounts are taken in normal
+#: form (`Dfg._shift_amount`).  SUB folds as an ADD of the complement
+#: (rewrite (h)).
+_FOLD = {
+    NodeKind.ADD: operator.add,
+    NodeKind.MULT: operator.mul,
+    NodeKind.XOR: operator.xor,
+    NodeKind.AND: operator.and_,
+    NodeKind.OR: operator.or_,
+    NodeKind.SHL: lambda a, b: a << b if b < 32 else 0,
+    NodeKind.SHR: operator.rshift,
+    NodeKind.ROTATE: lambda a, b: (a << b) | (a >> (32 - b)),
+}
+
 
 class GraphError(Exception):
     pass
@@ -87,13 +103,16 @@ class DeadNodeError(GraphError):
     """A request referenced a NodeRef that is not live in the graph."""
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """A live, normalized graph node.
 
     ``serial`` is only populated for OPAQUE and CALL nodes: both denote
     events/wildcards whose identity is not structural, so each request
     mints a fresh serial and they never hash-cons together.
+
+    A named tuple rather than a frozen dataclass: exploration makes
+    thousands of nodes per function, and a tuple is built in about a
+    third of the time.
     """
 
     id: NodeRef
@@ -168,7 +187,16 @@ class Dfg:
         return ref
 
     def request_constant(self, value: int) -> NodeRef:
-        return self._insert(NodeKind.CONST, (), const_value=value & MASK32)
+        value &= MASK32
+        key = (NodeKind.CONST, (), value, None, None, None)
+        found = self.cons_table.get(key)
+        if found is not None:
+            return found
+        ref = self._next_id
+        self._next_id = ref + 1
+        self.nodes[ref] = Node(ref, NodeKind.CONST, (), value)
+        self.cons_table[key] = ref
+        return ref
 
     def request_input(self, symbol: str) -> NodeRef:
         return self._insert(NodeKind.INPUT, (), symbol=symbol)
@@ -203,7 +231,21 @@ class Dfg:
             want = str(least) if most == least else f"at least {least}"
             raise GraphError(
                 f"{kind.value} takes {want} inputs, got {len(inputs)}")
-        self._check_live(inputs)
+        # one pass checks liveness and collects the constant values for
+        # as long as every input so far is CONST
+        nodes = self.nodes
+        values: Optional[list[int]] = []
+        for ref in inputs:
+            node = nodes.get(ref)
+            if node is None:
+                raise DeadNodeError(f"request references dead node {ref}")
+            if values is not None:
+                if node.kind is NodeKind.CONST:
+                    values.append(node.const_value)
+                else:
+                    values = None
+        if values is not None:
+            return self._fold_constants(kind, inputs, values)
         if kind in COMMUTATIVE:
             return self._build_commutative(kind, inputs)
         if kind is NodeKind.SUB:
@@ -212,6 +254,23 @@ class Dfg:
 
     # ------------------------------------------------------------------
     # rewrite rules
+
+    def _fold_constants(self, kind: NodeKind, inputs: tuple[NodeRef, ...],
+                        values: list[int]) -> NodeRef:
+        """An operation whose inputs are all CONST, folded with ints.
+        It requests the same constants as the rewrite rules below, in
+        the same order, so node numbering does not depend on which path
+        a request takes."""
+        if kind in COMMUTATIVE:
+            return self.request_constant(reduce(_FOLD[kind], values))
+        a, b = values
+        if kind is NodeKind.SUB:
+            self.request_constant(-b)   # (h) in _build_sub: a + (2^32 - b)
+            return self.request_constant(a - b)
+        _, b = self._shift_amount(kind, inputs[1], b)
+        if b == 0:
+            return inputs[0]
+        return self.request_constant(_FOLD[kind](a, b))
 
     def _build_commutative(self, kind: NodeKind, inputs: tuple[NodeRef, ...]) -> NodeRef:
         # (d) flatten same-kind children into one variadic node
@@ -229,7 +288,7 @@ class Dfg:
         for i in flat:
             n = self.nodes[i]
             if n.kind is NodeKind.CONST:
-                acc = _fold(kind, acc, n.const_value)
+                acc = _FOLD[kind](acc, n.const_value) & MASK32
             else:
                 rest.append(i)
         zero = _ZERO.get(kind)
@@ -281,28 +340,23 @@ class Dfg:
         rest.sort()
         return self._insert(kind, tuple(rest))
 
+    def _shift_amount(self, kind: NodeKind, amount: NodeRef,
+                      a: int) -> tuple[NodeRef, int]:
+        """The constant amount ``a`` (node ``amount``) in normal form: a
+        rotation by 32 or more is reduced modulo 32, and the reduced
+        amount is requested as its own constant."""
+        if kind is NodeKind.ROTATE and a >= 32:
+            a %= 32
+            amount = self.request_constant(a)
+        return amount, a
+
     def _build_shift(self, kind: NodeKind, value: NodeRef, amount: NodeRef) -> NodeRef:
+        # an all-CONST request was folded by _fold_constants
         amt = self.nodes[amount]
-        if kind is NodeKind.ROTATE and amt.kind is NodeKind.CONST:
-            reduced = amt.const_value % 32
-            if reduced != amt.const_value:
-                amount = self.request_constant(reduced)
-                amt = self.nodes[amount]
         if amt.kind is NodeKind.CONST:
-            a = amt.const_value
-            assert a is not None
+            amount, a = self._shift_amount(kind, amount, amt.const_value)
             if a == 0:
                 return value  # (b) shift/rotate by zero
-            val = self.nodes[value]
-            if val.kind is NodeKind.CONST:
-                v = val.const_value
-                assert v is not None
-                if kind is NodeKind.SHL:
-                    return self.request_constant(v << a if a < 32 else 0)
-                if kind is NodeKind.SHR:
-                    return self.request_constant(v >> a if a < 32 else 0)
-                return self.request_constant(
-                    ((v << a) | (v >> (32 - a))) & MASK32)
             if kind is NodeKind.SHL and a == 1:
                 # (e) doubling
                 return self._build_commutative(
@@ -368,9 +422,10 @@ class Dfg:
                 continue
             keep.add(ref)
             stack.extend(self.nodes[ref].inputs)
-        for ref in [r for r in self.nodes if r not in keep]:
-            node = self.nodes.pop(ref)
-            del self.cons_table[node.cons_key()]
+        # rebuilt from the survivors, which keeps ascending ref order
+        self.nodes = {r: n for r, n in self.nodes.items() if r in keep}
+        self.cons_table = {k: r for k, r in self.cons_table.items()
+                           if r in keep}
         self.store_map = {a: v for a, v in self.store_map.items()
                           if a in keep and v in keep}
         return self
@@ -425,17 +480,3 @@ class Dfg:
                 raise GraphError(f"cons table out of sync for node {ref}")
         if len(self.cons_table) != len(self.nodes):
             raise GraphError("cons table has stale entries")
-
-
-def _fold(kind: NodeKind, a: int, b: int) -> int:
-    if kind is NodeKind.ADD:
-        return (a + b) & MASK32
-    if kind is NodeKind.MULT:
-        return (a * b) & MASK32
-    if kind is NodeKind.XOR:
-        return a ^ b
-    if kind is NodeKind.AND:
-        return a & b
-    if kind is NodeKind.OR:
-        return a | b
-    raise GraphError(f"not foldable: {kind}")

@@ -10,11 +10,12 @@ on the opposite decision forces the exit.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 from math import inf, isfinite
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import arm
 from .arm import Instruction, OutcomeKind
@@ -29,6 +30,8 @@ _OPS = {"<": (-inf, -1), "<=": (-inf, 0), "==": (0, 0), ">=": (0, inf),
 # `c op x` is `x _MIRRORED[op] c`
 _MIRRORED = {"<": ">", "<=": ">=", "==": "==", ">=": "<=", ">": "<"}
 _NEGATED = {"<": ">=", "<=": ">", ">=": "<", ">": "<=", "==": "!="}
+_COMPARE = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
+            ">=": operator.ge, ">": operator.gt}
 
 
 class Verdict(Enum):
@@ -53,8 +56,9 @@ class DeadStateError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
+    # a named tuple: one is made at every conditional, and tuples are
+    # built and compared in C
     v1: NodeRef
     op: str                      # < <= == >= >
     v2: NodeRef
@@ -111,20 +115,24 @@ class PathCondition:
         return lo, hi, excluded
 
     def evaluate(self, graph: Dfg, cond: Condition) -> Verdict:
+        # two constants decide the comparison, so such a condition is
+        # never undetermined and never among the facts
+        n1, n2 = graph.node(cond.v1), graph.node(cond.v2)
+        if n1.kind is NodeKind.CONST and n2.kind is NodeKind.CONST:
+            holds = _COMPARE[cond.op](_to_signed(n1.const_value),
+                                      _to_signed(n2.const_value))
+            return Verdict.TRUE if holds else Verdict.FALSE
         for fact, polarity in self.facts:
             if fact == cond:
                 return Verdict.TRUE if polarity else Verdict.FALSE
         if cond.v1 == cond.v2:
             return (Verdict.TRUE if cond.op in ("<=", ">=", "==")
                     else Verdict.FALSE)
-        node = cond.v1 if graph.is_const(cond.v2) else cond.v2
+        node = cond.v2 if n1.kind is NodeKind.CONST else cond.v1
         oriented = _against_constant(graph, cond, node)
         if oriented is None:
             return Verdict.UNDETERMINED
         op, c = oriented
-        if graph.is_const(node):                # a constant is one point
-            value = _to_signed(graph.const_value(node))
-            return _judge_interval(op, c, value, value, set())
         return _judge_interval(op, c, *self._interval(graph, node))
 
 
@@ -391,6 +399,7 @@ class Explorer:
                    results: list[PathResult],
                    deadline: float) -> Optional[PathResult]:
         config = self.config
+        decoded = self._decoded
         while True:
             if self._steps_left <= 0:
                 state.flags.add("instruction budget exhausted")
@@ -401,11 +410,13 @@ class Explorer:
             self._steps_left -= 1
             state.steps += 1
 
-            try:
-                ins = self._decode(state.pc)
-            except arm.DecodeError as err:
-                state.flags.add(str(err))
-                return self._finish(state, Status.ABORTED)
+            ins = decoded.get(state.pc)
+            if ins is None:
+                try:
+                    ins = self._decode(state.pc)
+                except arm.DecodeError as err:
+                    state.flags.add(str(err))
+                    return self._finish(state, Status.ABORTED)
 
             if ins.cond == "AL":
                 end = self._execute(state, ins)

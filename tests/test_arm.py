@@ -242,6 +242,17 @@ def test_assembler_rejects_bad_operand_counts(line):
         assemble(line)
 
 
+@pytest.mark.parametrize("line", [
+    # the S bit of a block transfer is not encoded, and a branch lands
+    # on a word
+    "ldms r0, {r1}", "stmias r0, {r1}", "ldmfds sp!, {r1}",
+    "b 3", "bl 6",
+])
+def test_assembler_rejects_what_it_cannot_encode(line):
+    with pytest.raises(AsmError):
+        assemble(line)
+
+
 _ASM_FRAGMENTS = ("r0", "r1", "sp", "pc", "#4", "#0x104", "#-1", "#",
                   "[r1", "[r1]", "[r1, #4]", "[r1], #4", "{r2}", "{r1-r3}",
                   "{}", "r1!", "lsl #3", "lsl r2", "ror", "=5", "top",

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from helpers import drive_spec_sequence
 from wherescrypto.dfg import (
+    COMMUTATIVE,
     DeadNodeError,
     Dfg,
     GraphError,
@@ -295,6 +296,160 @@ def test_confluence_under_input_permutation():
         add(g, *picked)
         serials.add(g.serialize())
     assert len(serials) == 1
+
+
+# ---------------------------------------- all-constant requests fold
+
+# requests whose inputs are all CONST fold with ints in one step; they
+# must request the same constants, in the same order, as the rewrite
+# rules do, so node numbering stays the same
+
+
+def test_sub_of_constants_requests_the_complement_first():
+    g = Dfg()
+    a = g.request_constant(3)
+    b = g.request_constant(5)
+    assert op(g, NodeKind.SUB, a, b) == 3
+    assert g.serialize() == (
+        "0: CONST() [0x3]\n"
+        "1: CONST() [0x5]\n"
+        "2: CONST() [0xfffffffb]\n"
+        "3: CONST() [0xfffffffe]"
+    )
+
+
+def test_sub_of_constant_zero_is_the_minuend():
+    g = Dfg()
+    a = g.request_constant(7)
+    zero = g.request_constant(0)
+    assert op(g, NodeKind.SUB, a, zero) == a
+    assert len(g) == 2
+
+
+def test_rotate_of_constants_by_33_requests_the_reduced_amount():
+    g = Dfg()
+    c = g.request_constant(0x80000001)
+    c33 = g.request_constant(33)
+    assert op(g, NodeKind.ROTATE, c, c33) == 3
+    assert g.serialize() == (
+        "0: CONST() [0x80000001]\n"
+        "1: CONST() [0x21]\n"
+        "2: CONST() [0x1]\n"
+        "3: CONST() [0x3]"
+    )
+
+
+def test_rotate_of_constants_by_32_is_the_value():
+    g = Dfg()
+    c = g.request_constant(0x12345678)
+    c32 = g.request_constant(32)
+    assert op(g, NodeKind.ROTATE, c, c32) == c
+    # the reduced amount 0 was requested on the way
+    assert g.serialize().splitlines()[-1] == "2: CONST() [0x0]"
+
+
+@pytest.mark.parametrize(
+    "kind", [NodeKind.SHL, NodeKind.SHR, NodeKind.ROTATE])
+def test_shift_of_constant_by_zero_returns_the_input(kind):
+    g = Dfg()
+    c = g.request_constant(0x80000001)
+    zero = g.request_constant(0)
+    assert op(g, kind, c, zero) == c
+    assert len(g) == 2
+
+
+@pytest.mark.parametrize("kind", [NodeKind.MULT, NodeKind.AND])
+def test_multiply_and_mask_by_zero_collapse(kind):
+    g = Dfg()
+    x = g.request_input("R0")
+    c = g.request_constant(0xFFFFFFFF)
+    zero = g.request_constant(0)
+    assert op(g, kind, c, zero) == zero
+    assert op(g, kind, zero, c, c) == zero
+    assert op(g, kind, x, zero) == zero
+    assert len(g) == 3
+
+
+MASK = 0xFFFFFFFF
+
+
+def _concrete(kind: NodeKind, values: list[int]) -> int:
+    """32-bit meaning of an operation on concrete values, written out
+    apart from the broker."""
+    if kind is NodeKind.ADD:
+        return sum(values) & MASK
+    if kind is NodeKind.MULT:
+        product = 1
+        for v in values:
+            product = product * v & MASK
+        return product
+    if kind in (NodeKind.XOR, NodeKind.AND, NodeKind.OR):
+        acc = values[0]
+        for v in values[1:]:
+            acc = {NodeKind.XOR: acc ^ v, NodeKind.AND: acc & v,
+                   NodeKind.OR: acc | v}[kind]
+        return acc
+    a, b = values
+    if kind is NodeKind.SUB:
+        return (a - b) & MASK
+    if kind is NodeKind.SHL:
+        return (a << b) & MASK if b < 32 else 0
+    if kind is NodeKind.SHR:
+        return a >> b if b < 32 else 0
+    r = b % 32
+    return ((a << r) | (a >> (32 - r))) & MASK
+
+
+def _requested(kind: NodeKind, values: list[int]) -> list[int]:
+    """The constants the rewrite rules request for an all-constant
+    operation, in order."""
+    result = _concrete(kind, values)
+    if kind is NodeKind.SUB:
+        return [(-values[1]) & MASK, result]
+    if kind in (NodeKind.SHL, NodeKind.SHR, NodeKind.ROTATE):
+        amount = values[1]
+        first = []
+        if kind is NodeKind.ROTATE and amount >= 32:
+            amount %= 32
+            first = [amount]
+        return first if amount == 0 else first + [result]
+    return [result]
+
+
+_WORD = st.one_of(
+    st.sampled_from([0, 1, 2, 31, 32, 33, 64, 0x7FFFFFFF, 0x80000000,
+                     0xFFFFFFFF]),
+    st.integers(0, MASK))
+_KINDS = [NodeKind.ADD, NodeKind.MULT, NodeKind.XOR, NodeKind.AND,
+          NodeKind.OR, NodeKind.SHL, NodeKind.SHR, NodeKind.ROTATE,
+          NodeKind.SUB]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_KINDS),
+                          st.lists(_WORD, min_size=2, max_size=4)),
+                min_size=1, max_size=12))
+def test_all_constant_requests_fold_like_concrete_words(requests):
+    g = Dfg()
+    order: list[int] = []       # constant values, by first request
+
+    def expect(value: int) -> None:
+        if value not in order:
+            order.append(value)
+
+    for kind, values in requests:
+        if kind not in COMMUTATIVE:
+            values = values[:2]
+        refs = [g.request_constant(v) for v in values]
+        for v in values:
+            expect(v)
+        r = g.request_operation(kind, refs)
+        assert g.const_value(r) == _concrete(kind, values), (kind, values)
+        for v in _requested(kind, values):
+            expect(v)
+    g.check_consing_invariants()
+    assert g.serialize() == "\n".join(
+        f"{ref}: CONST() [0x{value:x}]" for ref, value in enumerate(order))
 
 
 # ------------------------------------------------------ memory behavior

@@ -8,6 +8,7 @@ running the engine.
 
 from __future__ import annotations
 
+import operator
 import random
 
 import pytest
@@ -657,3 +658,34 @@ def test_judge_interval_matches_reference(op, c, lo, hi, excluded,
         excluded.add(c)
     assert (symexec._judge_interval(op, c, lo, hi, excluded)
             == reference_judge_interval(op, c, lo, hi, excluded))
+
+
+
+_WORDS = st.one_of(st.sampled_from([0, 1, 0x7FFFFFFF, 0x80000000,
+                                    0xFFFFFFFF]),
+                   st.integers(0, 0xFFFFFFFF))
+_HOLDS = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
+          ">=": operator.ge, ">": operator.gt}
+
+
+def _signed(word: int) -> int:
+    return word - (1 << 32) if word >> 31 else word
+
+
+@settings(max_examples=300, deadline=None)
+@given(op=st.sampled_from(_OPS), x=_WORDS, y=_WORDS, known=st.booleans())
+def test_evaluate_two_constants_is_signed_comparison(op, x, y, known):
+    g, r8 = _graph_with_input()
+    a, b = g.request_constant(x), g.request_constant(y)
+    state = ExecState(g, 0, {"LR": r8}, None, 0)
+    if known:                      # facts about other nodes do not matter
+        state.path_condition.extend(
+            g, Condition(r8, "<", g.request_constant(5)), True)
+    holds = _HOLDS[op](_signed(x), _signed(y))
+    assert state.path_condition.evaluate(g, Condition(a, op, b)) is \
+        (Verdict.TRUE if holds else Verdict.FALSE)
+    # decided outright, so following it adds no fact and no backlog
+    facts = list(state.path_condition.facts)
+    assert handle_conditional(state, 0x20, Condition(a, op, b), n=4,
+                              live_count=1, fork_cap=64) == [(state, holds)]
+    assert state.path_condition.facts == facts and state.backlog == {}
