@@ -49,8 +49,7 @@ _NO_FLAGS = {"cmp", "cmn", "tst", "b", "bl", "bx", "push", "pop",
 
 
 def encode_immediate(value: int) -> int | None:
-    """12-bit rotated-immediate encoding of value, or None."""
-    value &= MASK32
+    """12-bit rotated-immediate encoding of a 32-bit value, or None."""
     for rot in range(16):
         imm8 = _ror32(value, 32 - 2 * rot) if rot else value
         if imm8 < 0x100:
@@ -99,6 +98,14 @@ def _number(text: str, line_no: int) -> int:
         raise AsmError(line_no, f"bad number {text!r}") from None
 
 
+def _word(text: str, line_no: int) -> int:
+    """A 32-bit value, written unsigned or as a negative signed one."""
+    value = _number(text, line_no)
+    if not -(1 << 31) <= value <= MASK32:
+        raise AsmError(line_no, f"{text.strip()!r} does not fit in 32 bits")
+    return value & MASK32
+
+
 def _reg(text: str, line_no: int) -> int:
     r = _REGS.get(text.strip().lower())
     if r is None:
@@ -138,7 +145,7 @@ class Assembler:
             m = re.match(r"ldr\w*\s+[^,]+,\s*=\s*(\S+)", entry.body,
                          re.IGNORECASE)
             if m:
-                value = _number(m.group(1), entry.no) & MASK32
+                value = _word(m.group(1), entry.no)
                 if value not in self.literal_slots:
                     self.literal_slots[value] = (self.pool_base +
                                                  4 * len(self.literals))
@@ -160,7 +167,7 @@ class Assembler:
     def _encode(self, entry: _Line, address: int) -> int:
         body, no = entry.body, entry.no
         if body.startswith(".word"):
-            return _number(body[5:], no) & MASK32
+            return _word(body[5:], no)
         mtok, _, rest = body.partition(" ")
         rest = rest.strip()
         base, mode, cond, sflag = _split_mnemonic(mtok.lower(), no)
@@ -240,12 +247,11 @@ class Assembler:
     def _shifter_operand(self, text: str, no: int) -> int:
         text = text.strip()
         if text.startswith("#"):
-            value = _number(text[1:], no)
+            value = _word(text[1:], no)
             enc = encode_immediate(value)
             if enc is None:
-                raise AsmError(no,
-                               f"immediate 0x{value & MASK32:x} not "
-                               "encodable; use ldr =")
+                raise AsmError(no, f"immediate 0x{value:x} not "
+                                   "encodable; use ldr =")
             return (1 << 25) | enc
         parts = [p.strip() for p in text.split(",")]
         rm = _reg(parts[0], no)
@@ -343,8 +349,7 @@ class Assembler:
         if addr.startswith("="):
             if not load:
                 raise AsmError(no, f"{base} cannot take a literal")
-            value = _number(addr[1:], no) & MASK32
-            slot = self.literal_slots[value]
+            slot = self.literal_slots[_word(addr[1:], no)]
             offset = slot - (address + 8)
             u = 1 if offset >= 0 else 0
             offset = abs(offset)

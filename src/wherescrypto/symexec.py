@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from math import inf, isfinite
-from typing import NamedTuple, Optional
+from typing import AbstractSet, NamedTuple, Optional
 
 from . import arm
 from .arm import Instruction, OutcomeKind
@@ -64,55 +64,51 @@ class Condition(NamedTuple):
     v2: NodeRef
 
 
+# the range of a node that no fact compares with a constant
+_UNCONSTRAINED = (SIGNED_MIN, SIGNED_MAX, frozenset())
+
+
 def _to_signed(value: int) -> int:
     return value - (1 << 32) if value >= (1 << 31) else value
 
 
 class PathCondition:
-    """Conjunction of (Condition, polarity) facts with an interval
-    abstraction over nodes compared against constants."""
+    """Conjunction of facts, each condition mapped to its polarity in the
+    order added, and the signed (lo, hi, excluded) range of every node
+    that some fact compares with a constant, kept up by `extend`."""
 
     def __init__(self) -> None:
-        self.facts: list[tuple[Condition, bool]] = []
+        self.facts: dict[Condition, bool] = {}
+        self.ranges: dict[NodeRef, tuple[int, int, frozenset[int]]] = {}
 
     def copy(self) -> "PathCondition":
         p = PathCondition()
-        p.facts = list(self.facts)
+        p.facts = dict(self.facts)
+        p.ranges = dict(self.ranges)
         return p
 
     def extend(self, graph: Dfg, cond: Condition, polarity: bool) -> None:
-        for fact, pol in self.facts:
-            if fact == cond and pol != polarity:
-                raise DeadStateError(f"contradiction on {cond}")
-        self.facts.append((cond, polarity))
+        if self.facts.setdefault(cond, polarity) != polarity:
+            raise DeadStateError(f"contradiction on {cond}")
+        node = cond.v2 if graph.is_const(cond.v1) else cond.v1
+        oriented = (None if graph.is_const(node)
+                    else _against_constant(graph, cond, node))
+        if oriented is None:
+            return
+        op, c = oriented
+        op = op if polarity else _NEGATED[op]
+        lo, hi, excluded = self.ranges.get(node, _UNCONSTRAINED)
+        if op == "!=":
+            excluded = excluded | {c}
+        else:
+            below, above = _OPS[op]
+            lo, hi = max(lo, c + below), min(hi, c + above)
         # interval emptiness check
-        for node in (cond.v1, cond.v2):
-            if not graph.is_const(node):
-                lo, hi, excluded = self._interval(graph, node)
-                if lo > hi:
-                    raise DeadStateError(f"empty interval for node {node}")
-                if hi - lo < 1024:
-                    inside = sum(1 for x in excluded if lo <= x <= hi)
-                    if inside > hi - lo:
-                        raise DeadStateError(
-                            f"interval for node {node} fully excluded")
-
-    def _interval(self, graph: Dfg, node: NodeRef):
-        lo, hi = SIGNED_MIN, SIGNED_MAX
-        excluded: set[int] = set()
-        for fact, polarity in self.facts:
-            oriented = _against_constant(graph, fact, node)
-            if oriented is None:
-                continue
-            op, c = oriented
-            if not polarity:
-                op = _NEGATED[op]
-            if op == "!=":
-                excluded.add(c)
-            else:
-                below, above = _OPS[op]
-                lo, hi = max(lo, c + below), min(hi, c + above)
-        return lo, hi, excluded
+        if lo > hi:
+            raise DeadStateError(f"empty interval for node {node}")
+        if hi - lo < 1024 and sum(lo <= x <= hi for x in excluded) > hi - lo:
+            raise DeadStateError(f"interval for node {node} fully excluded")
+        self.ranges[node] = (lo, hi, excluded)
 
     def evaluate(self, graph: Dfg, cond: Condition) -> Verdict:
         # two constants decide the comparison, so such a condition is
@@ -122,9 +118,9 @@ class PathCondition:
             holds = _COMPARE[cond.op](_to_signed(n1.const_value),
                                       _to_signed(n2.const_value))
             return Verdict.TRUE if holds else Verdict.FALSE
-        for fact, polarity in self.facts:
-            if fact == cond:
-                return Verdict.TRUE if polarity else Verdict.FALSE
+        polarity = self.facts.get(cond)
+        if polarity is not None:
+            return Verdict.TRUE if polarity else Verdict.FALSE
         if cond.v1 == cond.v2:
             return (Verdict.TRUE if cond.op in ("<=", ">=", "==")
                     else Verdict.FALSE)
@@ -132,8 +128,8 @@ class PathCondition:
         oriented = _against_constant(graph, cond, node)
         if oriented is None:
             return Verdict.UNDETERMINED
-        op, c = oriented
-        return _judge_interval(op, c, *self._interval(graph, node))
+        return _judge_interval(*oriented,
+                               *self.ranges.get(node, _UNCONSTRAINED))
 
 
 def _against_constant(graph: Dfg, cond: Condition,
@@ -148,7 +144,7 @@ def _against_constant(graph: Dfg, cond: Condition,
 
 
 def _judge_interval(op: str, c: int, lo: int, hi: int,
-                    excluded: set[int]) -> Verdict:
+                    excluded: AbstractSet[int]) -> Verdict:
     """Whether `x op c` holds for the x in [lo, hi] that are not
     excluded, read off the two ends: TRUE when every end that faces a
     closed side of the range `_OPS` admits lies in that range, FALSE
@@ -272,7 +268,6 @@ class ExecState:
 @dataclass
 class PathResult:
     graph: Dfg
-    path_condition: PathCondition
     status: Status
     backlog: dict[int, list[bool]]
     approx: set[str] = field(default_factory=set)
@@ -385,13 +380,12 @@ class Explorer:
     def _finish(self, state: ExecState, status: Status) -> PathResult:
         complete = status is Status.COMPLETE
         described = [(render_condition(state.graph, c), pol)
-                     for c, pol in state.path_condition.facts]
+                     for c, pol in state.path_condition.facts.items()]
         roots = purge_roots(state.graph, state.regs, self._sp_input,
                             complete)
         state.graph.purge(roots)
-        return PathResult(state.graph, state.path_condition, status,
-                          state.backlog, state.approx, state.flags,
-                          state.steps,
+        return PathResult(state.graph, status, state.backlog, state.approx,
+                          state.flags, state.steps,
                           state.regs["R0"] if complete else None,
                           described)
 

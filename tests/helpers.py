@@ -1,8 +1,9 @@
 """Shared test utilities: randomized sequences of broker requests,
 signature/target pair generators for the matcher-versus-oracle battery,
 the exhaustive matching oracle, a plain reference matcher with
-generators for large targets, and the branch-per-operator interval
-judge that `symexec._judge_interval` restates.
+generators for large targets, the branch-per-operator interval judge
+that `symexec._judge_interval` restates, and the rescanning path
+condition that `symexec.PathCondition` keeps indexed.
 
 Used by both the unit property tests and the acceptance suite.  A spec
 is a (kind, arguments) pair that `request_spec` sends to the broker
@@ -21,7 +22,9 @@ from wherescrypto.dfg import COMMUTATIVE, Dfg, Node, NodeKind
 from wherescrypto.matcher import (Mapping, _assignment_ok, _inputs_ok,
                                   _node_tag_ok, _ordered, _subset_arity)
 from wherescrypto.sigdsl import SignatureGraph
-from wherescrypto.symexec import Verdict
+from wherescrypto.symexec import (SIGNED_MAX, SIGNED_MIN, _COMPARE,
+                                  _NEGATED, _OPS, Condition, DeadStateError,
+                                  Verdict, _against_constant, _to_signed)
 
 _BINARY = [NodeKind.SHL, NodeKind.SHR, NodeKind.ROTATE, NodeKind.SUB]
 _VARIADIC = [NodeKind.ADD, NodeKind.MULT, NodeKind.XOR, NodeKind.AND, NodeKind.OR]
@@ -521,3 +524,66 @@ def reference_judge_interval(op: str, c: int, lo: int, hi: int,
         if c < lo or c > hi or c in excluded:
             return Verdict.FALSE
     return Verdict.UNDETERMINED
+
+
+class ReferencePathCondition:
+    """A path condition kept as a list of (Condition, polarity) facts
+    that every `extend` and `evaluate` rescans: the earlier form of
+    `symexec.PathCondition`, kept as its reference."""
+
+    def __init__(self) -> None:
+        self.facts: list[tuple[Condition, bool]] = []
+
+    def extend(self, graph: Dfg, cond: Condition, polarity: bool) -> None:
+        for fact, pol in self.facts:
+            if fact == cond and pol != polarity:
+                raise DeadStateError(f"contradiction on {cond}")
+        self.facts.append((cond, polarity))
+        # interval emptiness check
+        for node in (cond.v1, cond.v2):
+            if not graph.is_const(node):
+                lo, hi, excluded = self.interval(graph, node)
+                if lo > hi:
+                    raise DeadStateError(f"empty interval for node {node}")
+                if hi - lo < 1024:
+                    inside = sum(1 for x in excluded if lo <= x <= hi)
+                    if inside > hi - lo:
+                        raise DeadStateError(
+                            f"interval for node {node} fully excluded")
+
+    def interval(self, graph: Dfg, node: int):
+        """The signed (lo, hi, excluded) that the facts allow `node`."""
+        lo, hi = SIGNED_MIN, SIGNED_MAX
+        excluded: set[int] = set()
+        for fact, polarity in self.facts:
+            oriented = _against_constant(graph, fact, node)
+            if oriented is None:
+                continue
+            op, c = oriented
+            if not polarity:
+                op = _NEGATED[op]
+            if op == "!=":
+                excluded.add(c)
+            else:
+                below, above = _OPS[op]
+                lo, hi = max(lo, c + below), min(hi, c + above)
+        return lo, hi, excluded
+
+    def evaluate(self, graph: Dfg, cond: Condition) -> Verdict:
+        n1, n2 = graph.node(cond.v1), graph.node(cond.v2)
+        if n1.kind is NodeKind.CONST and n2.kind is NodeKind.CONST:
+            holds = _COMPARE[cond.op](_to_signed(n1.const_value),
+                                      _to_signed(n2.const_value))
+            return Verdict.TRUE if holds else Verdict.FALSE
+        for fact, polarity in self.facts:
+            if fact == cond:
+                return Verdict.TRUE if polarity else Verdict.FALSE
+        if cond.v1 == cond.v2:
+            return (Verdict.TRUE if cond.op in ("<=", ">=", "==")
+                    else Verdict.FALSE)
+        node = cond.v2 if n1.kind is NodeKind.CONST else cond.v1
+        oriented = _against_constant(graph, cond, node)
+        if oriented is None:
+            return Verdict.UNDETERMINED
+        op, c = oriented
+        return reference_judge_interval(op, c, *self.interval(graph, node))

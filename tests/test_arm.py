@@ -247,10 +247,21 @@ def test_assembler_rejects_bad_operand_counts(line):
     # on a word
     "ldms r0, {r1}", "stmias r0, {r1}", "ldmfds sp!, {r1}",
     "b 3", "bl 6",
+    # a number outside -2^31 ... 2^32-1 is not truncated to 32 bits
+    ".word 0x100000000", ".word 0x1ffffffff", ".word -0x80000001",
+    "ldr r0, =0x100000000", "mov r0, #0x100000001",
+    "add r0, r0, #0x100000004", "cmp r0, #-0xffffffff",
 ])
 def test_assembler_rejects_what_it_cannot_encode(line):
     with pytest.raises(AsmError):
         assemble(line)
+
+
+def test_assembler_reads_both_ends_of_the_word_range():
+    assert assemble(".word 0xffffffff\n.word -0x80000000") == \
+        bytes.fromhex("ffffffff00000080")
+    assert assemble("ldr r0, =-1")[4:] == bytes.fromhex("ffffffff")
+    assert assemble("mov r0, #-0x1000000") == assemble("mov r0, #0xff000000")
 
 
 _ASM_FRAGMENTS = ("r0", "r1", "sp", "pc", "#4", "#0x104", "#-1", "#",

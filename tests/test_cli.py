@@ -14,6 +14,7 @@ from wherescrypto.cli import main
 from wherescrypto.siglib import builtin_names, signature_source
 
 from test_report import LEAF, LFSR_INLINE, MDTOY
+from test_symexec import shift_register_loop
 
 LFSR_C = """\
 unsigned lfsr(unsigned s) {
@@ -97,6 +98,26 @@ def test_report_independent_of_hash_seed(tmp_path):
         data.pop("timestamp")
         bodies.append(json.dumps(data, indent=2))
     assert len(json.loads(bodies[0])["functions"]) == 3
+    assert bodies[0] == bodies[1]
+
+
+def test_long_loop_report_is_independent_of_timeout(tmp_path):
+    # 5,000 iterations, one path condition fact each, finish well inside
+    # the step budget; a short and a long wall-clock backstop must give
+    # the same report
+    image = tmp_path / "loop.bin"
+    image.write_bytes(assemble(shift_register_loop(5000)))
+    entries = tmp_path / "entries.txt"
+    entries.write_text("0x0\n")
+    bodies = []
+    for timeout in (5, 60):
+        data = run_json(image, entries, tmp_path / f"t{timeout}.json",
+                        extra=["--timeout", str(timeout)])
+        data.pop("timestamp")
+        assert data["config"].pop("timeout") == timeout
+        assert [s for fn in data["functions"] for s in fn["statuses"]] == \
+            ["COMPLETE"] * 2
+        bodies.append(json.dumps(data))
     assert bodies[0] == bodies[1]
 
 

@@ -12,10 +12,10 @@ import operator
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_judge_interval
+from helpers import ReferencePathCondition, reference_judge_interval
 from wherescrypto import arm, symexec
 from wherescrypto.asm import assemble
 from wherescrypto.dfg import Dfg, NodeKind
@@ -47,6 +47,26 @@ exit:
 bx lr
 """
 GUARD_ADDR = 12                      # address of the bge
+
+
+def shift_register_loop(iterations: int) -> str:
+    """A loop whose counter folds to a constant while its body branches
+    on a fresh bit of R0 each time: every iteration past the oracle's n
+    adds one fact to the path condition."""
+    return f"""\
+ldr r3, ={iterations}
+mov r2, #0
+loop:
+tst r0, #1
+beq skip
+eor r0, r0, r5
+skip:
+lsr r0, r0, #1
+add r2, r2, #1
+cmp r2, r3
+blt loop
+bx lr
+"""
 
 
 def _graph_with_input(name="R8"):
@@ -182,6 +202,95 @@ def test_extend_empty_interval_dies():
         p.extend(g, Condition(r8, "<", g.request_constant(3)), True)
 
 
+def test_extend_fully_excluded_interval_dies():
+    g, r8 = _graph_with_input()
+    c = lambda op, v: Condition(r8, op, g.request_constant(v))
+    # excluding every value of [0, width) kills the path up to 1,024
+    # values; wider ranges are not counted
+    for width in (2, 1024, 1025):
+        p = PathCondition()
+        p.extend(g, c(">=", 0), True)
+        p.extend(g, c("<", width), True)
+        for v in range(width - 1):
+            p.extend(g, c("==", v), False)
+        if width > 1024:
+            p.extend(g, c("==", width - 1), False)
+            assert p.ranges[r8] == (0, width - 1, frozenset(range(width)))
+        else:
+            with pytest.raises(DeadStateError,
+                               match=f"interval for node {r8} fully"):
+                p.extend(g, c("==", width - 1), False)
+
+
+_NEAR_ENDS = st.one_of(
+    st.integers(-2, 2),
+    st.integers(symexec.SIGNED_MIN, symexec.SIGNED_MIN + 2),
+    st.integers(symexec.SIGNED_MAX - 2, symexec.SIGNED_MAX))
+
+
+@st.composite
+def _fact_sequences(draw):
+    """Facts over 2-3 input nodes, each against a constant near 0, near
+    either end of the signed range or near the other constants, on
+    either side, or between two nodes; and queries of any two operands.
+    An operand is ("node", index) or ("const", 32-bit word)."""
+    nodes = draw(st.integers(2, 3))
+    bases = draw(st.lists(_NEAR_ENDS, min_size=1, max_size=2))
+    node = st.tuples(st.just("node"), st.integers(0, nodes - 1))
+    const = st.tuples(st.just("const"), st.builds(
+        lambda base, delta: (base + delta) & 0xFFFFFFFF,
+        st.sampled_from(bases), st.integers(-1, 1)))
+    operand = node | const
+    # "==" twice as often, so that its negations fully exclude a range
+    op = st.sampled_from(_OPS + ("==",))
+    fact = st.tuples(node, op, operand) | st.tuples(const, op, node)
+    facts = draw(st.lists(st.tuples(fact, st.booleans()), max_size=16))
+    queries = draw(st.lists(st.tuples(operand, op, operand), max_size=6))
+    return nodes, facts, queries
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fact_sequences())
+@example((2, [((("node", 0), ">=", ("const", 0)), True),
+              ((("node", 0), "<=", ("const", 1)), True),
+              ((("const", 0), "==", ("node", 0)), False),
+              ((("node", 0), "==", ("const", 1)), False)], []))
+def test_path_condition_matches_rescanning_reference(sequence):
+    nodes, facts, queries = sequence
+    g = Dfg()
+    inputs = [g.request_input(f"R{i}") for i in range(nodes)]
+
+    def node_of(operand):
+        kind, value = operand
+        return inputs[value] if kind == "node" else g.request_constant(value)
+
+    def condition(spec):
+        return Condition(node_of(spec[0]), spec[1], node_of(spec[2]))
+
+    fact_conds = [condition(spec) for spec, _ in facts]
+    queries = fact_conds + [condition(spec) for spec in queries]
+    p, reference = PathCondition(), ReferencePathCondition()
+    for cond, (_, polarity) in zip(fact_conds, facts):
+        errors = []
+        for pc in (p, reference):
+            try:
+                pc.extend(g, cond, polarity)
+                errors.append(None)
+            except DeadStateError as err:
+                errors.append(str(err))
+        assert errors[0] == errors[1]
+        if errors[0] is not None:
+            break                          # the path is dead
+        constrained = {node for node in inputs for fact, _ in reference.facts
+                       if symexec._against_constant(g, fact, node)}
+        assert set(p.ranges) == constrained
+        for node in inputs:
+            assert (p.ranges.get(node, symexec._UNCONSTRAINED)
+                    == reference.interval(g, node))
+        for query in queries:
+            assert p.evaluate(g, query) is reference.evaluate(g, query)
+
+
 # ------------------------------------------------------------- oracle
 
 
@@ -228,7 +337,7 @@ def test_handle_conditional_forks_both():
     assert values == [True, False]
     for s, v in out:
         assert s.backlog == {0x20: [v]}
-        assert s.path_condition.facts == [(cond, v)]
+        assert list(s.path_condition.facts.items()) == [(cond, v)]
 
 
 def test_handle_conditional_drops_contradicted_arm():
@@ -597,6 +706,30 @@ def test_forked_paths_share_the_budget(monkeypatch):
     assert 2 + sum(r.steps - 2 for r in results) == 3_000
 
 
+def test_work_per_conditional_does_not_grow_with_the_path(monkeypatch):
+    # each conditional orients a condition against a constant a fixed
+    # number of times, however many facts the path already holds
+    counts = {"oriented": 0, "conditionals": 0}
+
+    def counted(name, key):
+        inner = getattr(symexec, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(symexec, name, wrapper)
+
+    counted("_against_constant", "oriented")
+    counted("handle_conditional", "conditionals")
+    for iterations in (250, 1000):
+        counts.update(oriented=0, conditionals=0)
+        results = explore(0, assemble(shift_register_loop(iterations)),
+                          Config(timeout=600))
+        assert [r.status for r in results] == [Status.COMPLETE] * 2
+        assert counts["conditionals"] >= 2 * iterations
+        assert counts["oriented"] <= 2 * counts["conditionals"], iterations
+
+
 def test_explore_wall_clock_timeout():
     image = assemble("loop: b loop")
     results = explore(0, image, Config(timeout=0.05))
@@ -685,7 +818,7 @@ def test_evaluate_two_constants_is_signed_comparison(op, x, y, known):
     assert state.path_condition.evaluate(g, Condition(a, op, b)) is \
         (Verdict.TRUE if holds else Verdict.FALSE)
     # decided outright, so following it adds no fact and no backlog
-    facts = list(state.path_condition.facts)
+    facts = dict(state.path_condition.facts)
     assert handle_conditional(state, 0x20, Condition(a, op, b), n=4,
                               live_count=1, fork_cap=64) == [(state, holds)]
     assert state.path_condition.facts == facts and state.backlog == {}
