@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .dfg import ARITY, Dfg, NodeKind, NodeRef
 
@@ -147,9 +147,8 @@ _RESERVED = _OP_KEYWORDS | {"OPAQUE", "TRANSIENT", "IDENTIFIER",
 # ------------------------------------------------------------- lexer
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str        # 'number', 'name', '<<', '>>', or a single char
+class _Token(NamedTuple):
+    kind: str        # 'number', 'name', 'end', or the operator's text
     text: str
     value: int
     line: int
@@ -157,18 +156,28 @@ class _Token:
 
 
 _TOKEN_RE = re.compile(r"""
-    (?P<hex>0[xX][0-9a-fA-F]+)
-  | (?P<dec>[0-9]+)
+    (?P<number>0[xX][0-9a-fA-F]+|[0-9]+)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<shl><<)
-  | (?P<shr>>>)
-  | (?P<punct>[()<>,:;+])
+  | (?P<op><<|>>|[()<>,:;+])
   | (?P<space>[ \t]+)
 """, re.VERBOSE)
 
 
-def _tokenize(body: list[tuple[int, str]]) -> list[_Token]:
-    """body is a list of (line number, comment-stripped line text)."""
+def _literal(text: str, line: int, column: int) -> int:
+    """The value of a number token.  A 32-bit literal has at most 8 hex
+    or 10 decimal digits; longer ones are refused before conversion."""
+    base = 16 if text[:2] in ("0x", "0X") else 10
+    digits = text[2:] if base == 16 else text
+    if len(digits.lstrip("0")) <= (8 if base == 16 else 10):
+        value = int(digits, base)
+        if value < 1 << 32:
+            return value
+    raise ParseError(line, column, ("a 32-bit literal",), text)
+
+
+def _tokenize(body: list[tuple[int, str]], end_line: int) -> list[_Token]:
+    """body is a list of (line number, comment-stripped line text); the
+    tokens close with an 'end' token on `end_line`."""
     out: list[_Token] = []
     for line_no, text in body:
         pos = 0
@@ -177,108 +186,78 @@ def _tokenize(body: list[tuple[int, str]]) -> list[_Token]:
             if m is None:
                 raise ParseError(line_no, pos + 1, ("a token",),
                                  repr(text[pos]))
-            pos = m.end()
-            kind = m.lastgroup
-            if kind == "space":
-                continue
-            tok = m.group()
-            col = m.start() + 1
-            if kind in ("hex", "dec"):
-                # a 32-bit literal has at most 8 hex or 10 decimal
-                # digits; longer ones are refused before conversion
-                digits = tok[2:] if kind == "hex" else tok
-                if len(digits.lstrip("0")) > (8 if kind == "hex" else 10):
-                    raise ParseError(line_no, col,
-                                     ("a 32-bit literal",), tok)
-                value = int(tok, 16 if kind == "hex" else 10)
-                if value >= 1 << 32:
-                    raise ParseError(line_no, col,
-                                     ("a 32-bit literal",), tok)
-                out.append(_Token("number", tok, value, line_no, col))
-            elif kind == "name":
-                out.append(_Token("name", tok, 0, line_no, col))
-            elif kind == "shl":
-                out.append(_Token("<<", tok, 0, line_no, col))
-            elif kind == "shr":
-                out.append(_Token(">>", tok, 0, line_no, col))
-            else:
-                out.append(_Token(tok, tok, 0, line_no, col))
+            pos, kind, tok, col = m.end(), m.lastgroup, m.group(), pos + 1
+            if kind != "space":
+                value = _literal(tok, line_no, col) if kind == "number" else 0
+                out.append(_Token(tok if kind == "op" else kind, tok, value,
+                                  line_no, col))
+    out.append(_Token("end", "end of variant", 0, end_line, 1))
     return out
 
 
+def _error(tok: _Token, expected: tuple[str, ...]) -> ParseError:
+    found = tok.text if tok.kind == "end" else repr(tok.text)
+    return ParseError(tok.line, tok.column, expected, found)
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token], end_line: int):
+    """Recursive descent over one variant's tokens.  They close with an
+    'end' token, so looking one past a name stays inside the list."""
+
+    def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
-        self.end_line = end_line
         self.labels: set[str] = set()
         self.depth = 0
 
-    def _peek(self) -> Optional[_Token]:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
+    def _kind(self, ahead: int = 0) -> str:
+        return self.tokens[self.pos + ahead].kind
 
-    def _fail(self, expected: tuple[str, ...]) -> ParseError:
-        tok = self._peek()
-        if tok is None:
-            return ParseError(self.end_line, 1, expected,
-                              "end of variant")
-        return ParseError(tok.line, tok.column, expected, repr(tok.text))
-
-    def _take(self, kind: str, expected: tuple[str, ...]) -> _Token:
-        tok = self._peek()
-        if tok is None or tok.kind != kind:
-            raise self._fail(expected)
+    def _next(self) -> _Token:
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
-    def _at_keyword(self, word: str) -> bool:
-        tok = self._peek()
-        return (tok is not None and tok.kind == "name"
-                and tok.text.upper() == word)
+    def _take(self, kind: str, *expected: str) -> _Token:
+        if self._kind() != kind:
+            raise _error(self.tokens[self.pos], expected)
+        return self._next()
 
     def statements(self) -> tuple[Statement, ...]:
         out = []
-        while self._peek() is not None:
+        while self._kind() != "end":
             out.append(self._statement())
         return tuple(out)
 
     def _statement(self) -> Statement:
-        transient = False
-        if self._at_keyword("TRANSIENT"):
-            self.pos += 1
-            transient = True
+        tok = self.tokens[self.pos]
+        transient = tok.kind == "name" and tok.text.upper() == "TRANSIENT"
+        self.pos += transient
         label = None
-        tok = self._peek()
-        nxt = (self.tokens[self.pos + 1]
-               if self.pos + 1 < len(self.tokens) else None)
-        if (tok is not None and tok.kind == "name"
-                and nxt is not None and nxt.kind == ":"):
+        tok = self.tokens[self.pos]
+        if tok.kind == "name" and self._kind(1) == ":":
             if tok.text.upper() in _RESERVED:
-                raise ParseError(tok.line, tok.column,
-                                 ("a label",), repr(tok.text))
+                raise _error(tok, ("a label",))
             if tok.text in self.labels:
-                raise ParseError(tok.line, tok.column,
-                                 ("an unused label",), repr(tok.text))
+                raise _error(tok, ("an unused label",))
             label = tok.text
             self.pos += 2
         expr = self._expr()
-        self._take(";", ("';'",))
+        self._take(";", "';'")
         if label is not None:
             self.labels.add(label)
         return Statement(transient, label, expr)
 
     def _nest(self) -> None:
         if self.depth == MAX_NESTING:
-            raise self._fail((f"an expression nested at most "
-                              f"{MAX_NESTING} deep",))
+            raise _error(self.tokens[self.pos],
+                         (f"an expression nested at most {MAX_NESTING} "
+                          f"deep",))
         self.depth += 1
 
     def _expr(self) -> Expr:
         self._nest()
         terms = [self._shift()]
-        while self._peek() is not None and self._peek().kind == "+":
+        while self._kind() == "+":
             self.pos += 1
             terms.append(self._shift())
         self.depth -= 1
@@ -290,86 +269,58 @@ class _Parser:
         # a chain of shifts nests one level per operator
         start = self.depth
         node = self._atom()
-        while (self._peek() is not None
-               and self._peek().kind in ("<<", ">>")):
+        while self._kind() in ("<<", ">>"):
             self._nest()
-            op = self.tokens[self.pos].kind
-            self.pos += 1
-            node = Infix(op, (node, self._atom()))
+            node = Infix(self._next().kind, (node, self._atom()))
         self.depth = start
         return node
 
     def _atom(self) -> Expr:
-        tok = self._peek()
-        if tok is None:
-            raise self._fail(("an expression",))
+        tok = self._next()
         if tok.kind == "number":
-            self.pos += 1
             return Literal(tok.value)
         if tok.kind == "(":
-            self.pos += 1
             inner = self._expr()
-            self._take(")", ("')'",))
+            self._take(")", "')'")
             return inner
-        if tok.kind == "name":
-            word = tok.text.upper()
-            if word == "OPAQUE":
-                self.pos += 1
-                return self._opaque()
-            if word in _OP_KEYWORDS:
-                self.pos += 1
-                return self._opcall(tok, word)
-            if word in _RESERVED:
-                raise ParseError(tok.line, tok.column,
-                                 ("an expression",), repr(tok.text))
-            nxt = (self.tokens[self.pos + 1]
-                   if self.pos + 1 < len(self.tokens) else None)
-            if nxt is not None and nxt.kind == "(":
-                raise ParseError(tok.line, tok.column,
-                                 ("a known operation keyword",),
-                                 repr(tok.text))
-            if tok.text not in self.labels:
-                raise ParseError(tok.line, tok.column,
-                                 ("a previously defined label",),
-                                 repr(tok.text))
-            self.pos += 1
-            return LabelRef(tok.text)
-        raise self._fail(("an expression",))
+        word = tok.text.upper() if tok.kind == "name" else ""
+        if word == "OPAQUE":
+            return self._opaque()
+        if word in _OP_KEYWORDS:
+            args = self._arguments(wildcard=False)
+            _check_arity(word, len(args), tok.line, tok.column)
+            return OpCall(word, args)
+        if not word or word in _RESERVED:
+            raise _error(tok, ("an expression",))
+        if self._kind() == "(":
+            raise _error(tok, ("a known operation keyword",))
+        if tok.text not in self.labels:
+            raise _error(tok, ("a previously defined label",))
+        return LabelRef(tok.text)
 
-    def _opcall(self, tok: _Token, word: str) -> OpCall:
-        self._take("(", ("'('",))
-        args = [self._expr()]
-        while self._peek() is not None and self._peek().kind == ",":
-            self.pos += 1
+    def _arguments(self, wildcard: bool) -> tuple[Expr, ...]:
+        """A parenthesized, comma-separated argument list.  A wildcard's
+        list may be empty, and its ')' is the only closer it names."""
+        self._take("(", "'('")
+        args = []
+        if not wildcard or self._kind() not in (")", "end"):
             args.append(self._expr())
-        self._take(")", ("')'", "','"))
-        _check_arity(word, len(args), tok.line, tok.column)
-        return OpCall(word, tuple(args))
+            while self._kind() == ",":
+                self.pos += 1
+                args.append(self._expr())
+        self._take(")", "')'", *(() if wildcard else ("','",)))
+        return tuple(args)
 
     def _opaque(self) -> Opaque:
         clamp = None
-        tok = self._peek()
-        if tok is not None and tok.kind == "<":
+        if self._kind() == "<":
             self.pos += 1
-            name = self._take("name", ("a clamp label",))
+            name = self._take("name", "a clamp label")
             if name.text.upper() in _RESERVED:
-                raise ParseError(name.line, name.column,
-                                 ("a clamp label",), repr(name.text))
+                raise _error(name, ("a clamp label",))
             clamp = name.text
-            self._take(">", ("'>'",))
-        args: tuple[Expr, ...] = ()
-        tok = self._peek()
-        if tok is not None and tok.kind == "(":
-            self.pos += 1
-            collected = []
-            if self._peek() is not None and self._peek().kind != ")":
-                collected.append(self._expr())
-                while (self._peek() is not None
-                       and self._peek().kind == ","):
-                    self.pos += 1
-                    collected.append(self._expr())
-            self._take(")", ("')'",))
-            args = tuple(collected)
+            self._take(">", "'>'")
+        args = self._arguments(wildcard=True) if self._kind() == "(" else ()
         return Opaque(clamp, args)
 
 
@@ -418,8 +369,7 @@ def parse(text: str) -> SignatureDoc:
     variants = []
     for name, header_line, body in pending:
         end_line = body[-1][0] if body else header_line
-        parser = _Parser(_tokenize(body), end_line)
-        statements = parser.statements()
+        statements = _Parser(_tokenize(body, end_line)).statements()
         variants.append(VariantDef(name, statements))
     return SignatureDoc(identifier, tuple(variants))
 
