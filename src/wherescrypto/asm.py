@@ -347,7 +347,8 @@ class Assembler:
             (rd << 12)
 
         if addr.startswith("="):
-            if not load:
+            # only a word load reads the whole pool entry
+            if base != "ldr":
                 raise AsmError(no, f"{base} cannot take a literal")
             slot = self.literal_slots[_word(addr[1:], no)]
             offset = slot - (address + 8)

@@ -251,6 +251,8 @@ def test_assembler_rejects_bad_operand_counts(line):
     ".word 0x100000000", ".word 0x1ffffffff", ".word -0x80000001",
     "ldr r0, =0x100000000", "mov r0, #0x100000001",
     "add r0, r0, #0x100000004", "cmp r0, #-0xffffffff",
+    # a byte load of a pool entry would keep only its low byte
+    "ldrb r0, =0x1ff", "ldrbeq r0, =1",
 ])
 def test_assembler_rejects_what_it_cannot_encode(line):
     with pytest.raises(AsmError):
