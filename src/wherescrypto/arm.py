@@ -554,10 +554,10 @@ def _block_transfer(state, ins: Instruction, load: bool) -> StepOutcome:
     g = state.graph
     base = _read_reg(state, rl.base, ins)
     n = len(rl.regs)
+    first = {"IA": 0, "IB": 4, "DA": -4 * (n - 1), "DB": -4 * n}[rl.mode]
     pc_value = None
     for i, r in enumerate(rl.regs):
-        delta = {"IA": 4 * i, "IB": 4 * (i + 1),
-                 "DA": -4 * (n - 1 - i), "DB": -4 * (n - i)}[rl.mode]
+        delta = first + 4 * i
         if delta:
             addr = _op(state, NodeKind.ADD, base, g.request_constant(delta))
         else:
