@@ -8,7 +8,10 @@ the path statuses, the block-permutation records and the outcome per
 signature document (graph hits, exemplar variant, mapping count and
 exemplar assignment) are compared with ``fixtures/match_pin.json``.
 The corpora come from the benchmark's own generator,
-`perfbench/corpus.py`, so the two cannot drift apart.
+`perfbench/corpus.py`, so the two cannot drift apart.  The same scans
+are scored against the hand-written labels with the benchmark's own
+`perfbench/run.py`, so the pinned label table and the benchmark's
+``label_agreement`` cannot drift apart either.
 
 After an intended change to lifting or matching, regenerate the fixture
 with ``PYTHONPATH=src python tests/test_match_pin.py``.
@@ -16,10 +19,13 @@ with ``PYTHONPATH=src python tests/test_match_pin.py``.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 from wherescrypto.report import (AnalysisConfig, analyze_binary,
                                  report_to_dict)
@@ -32,11 +38,12 @@ WORKLOADS = ("crypto-unrolled", "branch-fanout", "selftest-loops")
 SEED = 1
 
 
-def _bench_corpus():
-    name = "perfbench_corpus"
+def _perfbench(module: str):
+    """``perfbench/<module>.py``, loaded once per process."""
+    name = f"perfbench_{module}"
     if name not in sys.modules:
         spec = importlib.util.spec_from_file_location(
-            name, ROOT / "perfbench" / "corpus.py")
+            name, ROOT / "perfbench" / f"{module}.py")
         module = importlib.util.module_from_spec(spec)
         # dataclasses look their module up while the class is built
         sys.modules[name] = module
@@ -44,11 +51,15 @@ def _bench_corpus():
     return sys.modules[name]
 
 
-def _scan(workload: str = "crypto-unrolled"):
+def _bench_corpus():
+    return _perfbench("corpus")
+
+
+def _scan(workload: str = "crypto-unrolled", seed: int = SEED):
     """The function names in entry order, and the report of one scan
     over them with the built-in catalog."""
     bench = _bench_corpus()
-    corpus = bench.generate(workload, SEED)
+    corpus = bench.generate(workload, seed)
     config = AnalysisConfig(n=corpus.n, depth=bench.DEPTH,
                             timeout=bench.TIMEOUT)
     names = sorted(corpus.entries, key=corpus.entries.get)
@@ -56,9 +67,17 @@ def _scan(workload: str = "crypto-unrolled"):
                                  [corpus.entries[n] for n in names], config)
 
 
+@functools.cache
+def _report(workload: str, seed: int = SEED) -> tuple[list[str], dict]:
+    """`_scan`, with the report as a dict, once per process; callers
+    only read it."""
+    names, report = _scan(workload, seed)
+    return names, report_to_dict(report)
+
+
 def pinned_outcomes(workload: str) -> dict:
-    names, report = _scan(workload)
-    functions = report_to_dict(report)["functions"]
+    names, report = _report(workload)
+    functions = report["functions"]
     out = {}
     for name, function in zip(names, functions):
         assert function["error"] is None, f"{name}: {function['error']}"
@@ -98,6 +117,38 @@ def test_forking_function_outcomes_are_pinned():
 
 def test_folded_loop_outcomes_are_pinned():
     _check_pinned("selftest-loops")
+
+
+#: Functions whose findings differ from their labels in
+#: ``perfbench/labels.json``; a fix fails here as a regression does.
+LABEL_MISMATCHES = {
+    "crypto-unrolled": {
+        "aes_b": {"missed": ["aes"], "false": []},
+        "md5_a": {"missed": [], "false": ["feistel"]},
+        "md5_b": {"missed": [], "false": ["feistel"]},
+        "xtea_a": {"missed": ["feistel"], "false": []},
+        "xtea_b": {"missed": ["feistel"], "false": []},
+    },
+    "branch-fanout": {},
+    "selftest-loops": {
+        "crc32_check_a": {"missed": ["nlfsr"], "false": []},
+        "crc32_check_b": {"missed": ["nlfsr"], "false": []},
+    },
+}
+LABEL_AGREEMENT = {"crypto-unrolled": 20 / 21, "branch-fanout": 1.0,
+                   "selftest-loops": 27 / 28}
+
+
+@pytest.mark.parametrize("seed", (SEED, 97))
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_label_agreement_is_pinned(workload, seed):
+    bench = _bench_corpus()
+    _, report = _report(workload, seed)
+    found = _perfbench("run")._detections(
+        report, bench.generate(workload, seed), bench.load_labels())
+    assert found["mismatches"] == LABEL_MISMATCHES[workload]
+    assert found["label_agreement"] == pytest.approx(
+        LABEL_AGREEMENT[workload], abs=1e-12)
 
 
 def test_shared_signature_graphs_are_never_changed():
