@@ -367,7 +367,7 @@ class Dfg:
         sn = self.nodes[subtrahend]
         if sn.kind is NodeKind.CONST:
             assert sn.const_value is not None
-            # (h) x - c  ->  x + (2^32 - c); also folds the all-const case
+            # (h) x - c  ->  x + (2^32 - c)
             comp = (MOD32 - sn.const_value) % MOD32
             return self._build_commutative(
                 NodeKind.ADD, (minuend, self.request_constant(comp)))

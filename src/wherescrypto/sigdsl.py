@@ -249,9 +249,8 @@ class _Parser:
 
     def _nest(self) -> None:
         if self.depth == MAX_NESTING:
-            raise _error(self.tokens[self.pos],
-                         (f"an expression nested at most {MAX_NESTING} "
-                          f"deep",))
+            raise _error(self.tokens[self.pos], (
+                f"an expression nested at most {MAX_NESTING} deep",))
         self.depth += 1
 
     def _expr(self) -> Expr:
