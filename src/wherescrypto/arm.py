@@ -1,4 +1,4 @@
-"""32-bit ARM (A32) decoder plus one lifter per mnemonic.
+"""32-bit ARM (A32) decoder plus one binder per mnemonic.
 
 ``decode`` turns little-endian words into ``Instruction`` records for a
 fixed subset of user-mode A32: data processing, multiplies, word/byte
@@ -6,22 +6,24 @@ loads and stores, block transfers, and branches.  Anything outside the
 subset raises ``UndecodableError`` so the caller can abort that path and
 flag the function.
 
-``execute`` looks the mnemonic up in a table that holds one lifter for
-every mnemonic ``decode`` emits, and the lifter translates the
-instruction body into graph-broker requests against an execution state.
-A conditional instruction's guard comes from ``condition_info``; the
-engine decides it and runs ``execute`` only on the side where it holds.
-The state object is owned by the symbolic execution engine; this module
-only relies on a small attribute protocol (graph, regs, flag_source,
+Each ``Instruction`` is bound to its lifter when it is made: a table
+holds one binder for every mnemonic ``decode`` emits, and the binder
+resolves what depends on the instruction alone (register names,
+immediates, shift kind, node kinds, the S bit, writes to PC) into a
+``lift(state)`` closure that translates the instruction body into
+graph-broker requests.  ``execute`` runs it.  A conditional
+instruction's guard comes from ``condition_info``; the engine decides
+it and runs ``execute`` only on the side where it holds.  The state
+object is owned by the symbolic execution engine; this module only
+relies on a small attribute protocol (graph, regs, flag_source,
 approx, image, base, initial_lr).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .dfg import MASK32, NodeKind, NodeRef
 
@@ -111,6 +113,11 @@ class Instruction:
     cond: str
     set_flags: bool
     operands: tuple[Operand, ...]
+    # lift(state) -> StepOutcome, bound once from the fields above
+    lift: Callable = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lift", _BINDERS[self.mnemonic](self))
 
 
 def _ror32(value: int, amount: int) -> int:
@@ -313,9 +320,15 @@ class StepOutcome(NamedTuple):
 
 
 # outcomes are immutable, so every fall-through and return shares one
-# instance
+# instance, and the engine tells a fall-through by identity
 _FALLTHROUGH = StepOutcome(OutcomeKind.FALLTHROUGH)
 _RETURN = StepOutcome(OutcomeKind.RETURN)
+
+# Enum members read once (see `NodeKind.__hash__`): the lifters below
+# run at every step
+_JUMP = OutcomeKind.JUMP
+_ADD, _AND, _XOR = NodeKind.ADD, NodeKind.AND, NodeKind.XOR
+_SUB, _ROTATE = NodeKind.SUB, NodeKind.ROTATE
 
 
 # condition code → (comparison operator, taken when the tuple is ...,
@@ -346,83 +359,17 @@ def condition_info(state, cond: str):
     return (v1, op, v2), expect
 
 
-def _read_reg(state, index: int, ins: Instruction) -> NodeRef:
-    if index == 15:
-        return state.graph.request_constant(ins.address + 8)
-    return state.regs[REG_NAMES[index]]
-
-
-def _pc_write(state, value: NodeRef, ins: Instruction) -> StepOutcome:
-    g = state.graph
+def _pc_write(state, value: NodeRef, address: int) -> StepOutcome:
     if value == state.initial_lr:
         return _RETURN
+    g = state.graph
     if g.is_const(value):
-        return StepOutcome(OutcomeKind.JUMP, g.const_value(value))
-    raise UnsupportedPcWrite(ins.address)
+        return StepOutcome(_JUMP, g.const_value(value))
+    raise UnsupportedPcWrite(address)
 
 
-def _write_reg(state, index: int, value: NodeRef,
-               ins: Instruction) -> StepOutcome:
-    if index == 15:
-        return _pc_write(state, value, ins)
-    state.regs[REG_NAMES[index]] = value
-    return _FALLTHROUGH
-
-
-def _write_result(state, ins: Instruction, rd: Reg, result: NodeRef,
-                  flags: Optional[tuple[NodeRef, NodeRef]] = None
-                  ) -> StepOutcome:
-    """The tail of every data-processing lifter: with the S bit set the
-    flags come from ``flags``, or else from comparing the result with
-    zero; then the result goes to Rd, where a write to PC ends the
-    step."""
-    if ins.set_flags:
-        state.flag_source = flags or (result,
-                                      state.graph.request_constant(0))
-    return _write_reg(state, rd.index, result, ins)
-
-
-def _op(state, kind: NodeKind, *inputs: NodeRef) -> NodeRef:
-    return state.graph.request_operation(kind, inputs)
-
-
-def _not(state, value: NodeRef) -> NodeRef:
-    return _op(state, NodeKind.XOR, value,
-               state.graph.request_constant(MASK32))
-
-
-def _operand_node(state, op: Operand, ins: Instruction) -> NodeRef:
-    g = state.graph
-    if isinstance(op, Imm):
-        return g.request_constant(op.value)
-    if isinstance(op, Reg):
-        return _read_reg(state, op.index, ins)
-    if isinstance(op, ShiftedReg):
-        value = _read_reg(state, op.reg, ins)
-        if op.amount_reg is not None:
-            amount = _read_reg(state, op.amount_reg, ins)
-        else:
-            amount = g.request_constant(op.amount)
-        return _apply_shift(state, op.kind, value, amount)
-    raise TypeError(f"not a value operand: {op!r}")
-
-
-def _apply_shift(state, kind: str, value: NodeRef,
-                 amount: NodeRef) -> NodeRef:
-    g = state.graph
-    if kind == "LSL":
-        return _op(state, NodeKind.SHL, value, amount)
-    if kind == "LSR":
-        return _op(state, NodeKind.SHR, value, amount)
-    if kind == "ASR":
-        state.approx.add("ASR lifted as logical shift right")
-        return _op(state, NodeKind.SHR, value, amount)
-    # right rotation by c is canonical left rotation by 32 - c
-    if g.is_const(amount):
-        left = g.request_constant((32 - g.const_value(amount)) % 32)
-    else:
-        left = _op(state, NodeKind.SUB, g.request_constant(32), amount)
-    return _op(state, NodeKind.ROTATE, value, left)
+def _not(g, value: NodeRef) -> NodeRef:
+    return g.request_operation(_XOR, (value, g.request_constant(MASK32)))
 
 
 def _in_image(state, address: int, length: int) -> bool:
@@ -443,175 +390,340 @@ def _load_value(state, addr: NodeRef, byte: bool) -> NodeRef:
                 fetch_word(state.image, address, state.base))
     value = g.request_load(addr)
     if byte:
-        value = _op(state, NodeKind.AND, value,
-                    g.request_constant(0xFF))
+        value = g.request_operation(_AND, (value, g.request_constant(0xFF)))
     return value
 
 
 # ---------------------------------------------------------------------------
-# one lifter per mnemonic: lift(state, ins) -> StepOutcome
+# binders: bind(ins) -> lift(state) -> StepOutcome
+#
+# A binder runs once per decoded instruction and resolves everything
+# that depends on the instruction alone; the lifter it returns only
+# reads and writes the state.  Node numbering follows the order of
+# broker requests (the graph pins and the lift golden hold it), so
+# each lifter requests its nodes in a fixed order: the first operand,
+# then the second, then the operation.
 
 
-def _lift_bx(state, ins: Instruction) -> StepOutcome:
-    return _pc_write(state, _read_reg(state, ins.operands[0].index, ins),
-                     ins)
+def _register_reader(name: str):
+    return lambda state: state.regs[name]
 
 
-def _lift_mov(state, ins: Instruction) -> StepOutcome:
-    rd, src = ins.operands
-    return _write_result(state, ins, rd, _operand_node(state, src, ins))
+def _register_writer(name: str):
+    def write(state, value: NodeRef) -> StepOutcome:
+        state.regs[name] = value
+        return _FALLTHROUGH
+    return write
 
 
-def _lift_mvn(state, ins: Instruction) -> StepOutcome:
-    rd, src = ins.operands
-    return _write_result(state, ins, rd,
-                         _not(state, _operand_node(state, src, ins)))
+# R0 ... LR are read and written alike by every instruction, so all
+# share these
+_READERS = tuple(_register_reader(name) for name in REG_NAMES[:15])
+_WRITERS = tuple(_register_writer(name) for name in REG_NAMES[:15])
 
 
-def _lift_shift(state, ins: Instruction) -> StepOutcome:
-    rd, rm, by = ins.operands
-    value = _read_reg(state, rm.index, ins)
-    amount = _operand_node(state, by, ins)
-    return _write_result(state, ins, rd,
-                         _apply_shift(state, ins.mnemonic, value, amount))
+def _bind_reg(index: int, ins: Instruction):
+    """read(state) -> NodeRef of a register; PC reads as the constant
+    address of the instruction plus 8."""
+    if index == 15:
+        pc = ins.address + 8
+        return lambda state: state.graph.request_constant(pc)
+    return _READERS[index]
 
 
-def _lift_cmp(state, ins: Instruction) -> StepOutcome:
+def _bind_const(value: int):
+    return lambda state: state.graph.request_constant(value)
+
+
+def _bind_shift(kind: str, read_value, read_amount,
+                amount: Optional[int] = None):
+    """read(state) -> NodeRef of ``kind`` (LSL, LSR, ASR or ROR) applied
+    to what ``read_value`` reads, by what ``read_amount`` reads;
+    ``amount`` is that amount when it is an immediate."""
+    if kind == "ROR":
+        # right rotation by c is canonical left rotation by 32 - c
+        if amount is not None:
+            left = (32 - amount) % 32
+
+            def rotate_by_imm(state):
+                value = read_value(state)
+                read_amount(state)   # requested, as every shift amount is
+                g = state.graph
+                return g.request_operation(
+                    _ROTATE, (value, g.request_constant(left)))
+            return rotate_by_imm
+
+        def rotate(state):
+            value = read_value(state)
+            by = read_amount(state)
+            g = state.graph
+            if g.is_const(by):
+                left = g.request_constant((32 - g.const_value(by)) % 32)
+            else:
+                left = g.request_operation(
+                    _SUB, (g.request_constant(32), by))
+            return g.request_operation(_ROTATE, (value, left))
+        return rotate
+
+    op = NodeKind.SHL if kind == "LSL" else NodeKind.SHR
+    approx = kind == "ASR"
+
+    def shift(state):
+        value = read_value(state)
+        by = read_amount(state)
+        if approx:
+            state.approx.add("ASR lifted as logical shift right")
+        return state.graph.request_operation(op, (value, by))
+    return shift
+
+
+def _bind_operand(op: Operand, ins: Instruction):
+    """read(state) -> NodeRef of a shifter or offset operand."""
+    if isinstance(op, Imm):
+        return _bind_const(op.value)
+    if isinstance(op, Reg):
+        return _bind_reg(op.index, ins)
+    read_value = _bind_reg(op.reg, ins)
+    if op.amount_reg is not None:
+        return _bind_shift(op.kind, read_value,
+                           _bind_reg(op.amount_reg, ins))
+    return _bind_shift(op.kind, read_value, _bind_const(op.amount),
+                       op.amount)
+
+
+def _bind_write(ins: Instruction, index: int, set_flags: bool):
+    """write(state, value) -> StepOutcome, the tail of a data-processing
+    lifter: with ``set_flags`` the flags come from comparing the value
+    with zero; then the value goes to the register, where a write to
+    PC ends the step."""
+    if index == 15:
+        address = ins.address
+
+        def write(state, value):
+            return _pc_write(state, value, address)
+    else:
+        write = _WRITERS[index]
+    if not set_flags:
+        return write
+
+    def write_with_flags(state, value):
+        state.flag_source = (value, state.graph.request_constant(0))
+        return write(state, value)
+    return write_with_flags
+
+
+def _bind_nop(ins: Instruction):
+    return lambda state: _FALLTHROUGH
+
+
+def _bind_branch(ins: Instruction):
+    target = ins.operands[0].address
+    if ins.mnemonic == "BL":
+        outcome = StepOutcome(OutcomeKind.CALL, target, ins.address + 4)
+    else:
+        outcome = StepOutcome(_JUMP, target)
+    return lambda state: outcome
+
+
+def _bind_bx(ins: Instruction):
+    read = _bind_reg(ins.operands[0].index, ins)
+    address = ins.address
+    return lambda state: _pc_write(state, read(state), address)
+
+
+def _bind_move(ins: Instruction):
+    """MOV and MVN, and the shifts that decode out of MOV."""
+    if ins.mnemonic in ("MOV", "MVN"):
+        rd, src = ins.operands
+        read = _bind_operand(src, ins)
+    else:
+        rd, rm, by = ins.operands
+        read = _bind_operand(
+            ShiftedReg(rm.index, ins.mnemonic, amount=by.value)
+            if isinstance(by, Imm) else
+            ShiftedReg(rm.index, ins.mnemonic, amount_reg=by.index), ins)
+    write = _bind_write(ins, rd.index, ins.set_flags)
+    if ins.mnemonic == "MVN":
+        return lambda state: write(state, _not(state.graph, read(state)))
+    return lambda state: write(state, read(state))
+
+
+def _bind_cmp(ins: Instruction):
     rn, op2 = ins.operands
-    state.flag_source = (_read_reg(state, rn.index, ins),
-                         _operand_node(state, op2, ins))
-    return _FALLTHROUGH
+    read_a, read_b = _bind_reg(rn.index, ins), _bind_operand(op2, ins)
+
+    def lift(state):
+        state.flag_source = (read_a(state), read_b(state))
+        return _FALLTHROUGH
+    return lift
 
 
-def _flag_test(state, ins: Instruction, kind: NodeKind) -> StepOutcome:
+def _bind_flag_test(ins: Instruction):
     """CMN and TST: flags from comparing ``kind(Rn, Op2)`` with zero."""
     rn, op2 = ins.operands
-    a = _read_reg(state, rn.index, ins)
-    result = _op(state, kind, a, _operand_node(state, op2, ins))
-    state.flag_source = (result, state.graph.request_constant(0))
-    return _FALLTHROUGH
+    kind = NodeKind.ADD if ins.mnemonic == "CMN" else NodeKind.AND
+    read_a, read_b = _bind_reg(rn.index, ins), _bind_operand(op2, ins)
+
+    def lift(state):
+        g = state.graph
+        a = read_a(state)
+        result = g.request_operation(kind, (a, read_b(state)))
+        state.flag_source = (result, g.request_constant(0))
+        return _FALLTHROUGH
+    return lift
 
 
-def _alu(state, ins: Instruction, kind: NodeKind, swap: bool = False,
-         invert: bool = False) -> StepOutcome:
-    """``Rd = kind(Rn, Op2)``; ``swap`` exchanges the two operands (RSB)
-    and ``invert`` complements Op2 first (BIC).  A flag-setting
-    subtraction compares its operands, as CMP does."""
+# mnemonic → (operation, swap the operands, complement Op2 first)
+_ALU = {
+    "ADD": (NodeKind.ADD, False, False), "ADC": (NodeKind.ADD, False, False),
+    "SUB": (NodeKind.SUB, False, False), "RSB": (NodeKind.SUB, True, False),
+    "AND": (NodeKind.AND, False, False), "ORR": (NodeKind.OR, False, False),
+    "EOR": (NodeKind.XOR, False, False), "BIC": (NodeKind.AND, False, True),
+}
+
+
+def _bind_alu(ins: Instruction):
+    """``Rd = kind(Rn, Op2)``, with the operands swapped for RSB and Op2
+    complemented for BIC.  A flag-setting subtraction compares its
+    operands, as CMP does; ADC is lifted as ADD and says so."""
     rd, rn, op2 = ins.operands
-    a = _read_reg(state, rn.index, ins)
-    b = _operand_node(state, op2, ins)
-    if swap:
-        a, b = b, a
-    if invert:
-        b = _not(state, b)
-    flags = (a, b) if kind is NodeKind.SUB else None
-    return _write_result(state, ins, rd, _op(state, kind, a, b), flags)
+    kind, swap, invert = _ALU[ins.mnemonic]
+    read_a, read_b = _bind_reg(rn.index, ins), _bind_operand(op2, ins)
+    compare = ins.set_flags and kind is NodeKind.SUB
+    write = _bind_write(ins, rd.index, ins.set_flags and not compare)
+    carry = ins.mnemonic == "ADC"
+
+    def lift(state):
+        if carry:
+            state.approx.add("ADC lifted without carry-in")
+        a = read_a(state)
+        b = read_b(state)
+        g = state.graph
+        if swap:
+            a, b = b, a
+        if invert:
+            b = _not(g, b)
+        result = g.request_operation(kind, (a, b))
+        if compare:
+            state.flag_source = (a, b)
+        return write(state, result)
+    return lift
 
 
-def _lift_adc(state, ins: Instruction) -> StepOutcome:
-    state.approx.add("ADC lifted without carry-in")
-    return _alu(state, ins, NodeKind.ADD)
-
-
-def _lift_mul(state, ins: Instruction, accumulate: bool) -> StepOutcome:
+def _bind_mul(ins: Instruction):
     rd, rm, rs = ins.operands[:3]
-    result = _op(state, NodeKind.MULT, _read_reg(state, rm.index, ins),
-                 _read_reg(state, rs.index, ins))
-    if accumulate:
-        result = _op(state, NodeKind.ADD, result,
-                     _read_reg(state, ins.operands[3].index, ins))
-    return _write_result(state, ins, rd, result)
+    read_m, read_s = _bind_reg(rm.index, ins), _bind_reg(rs.index, ins)
+    read_acc = (_bind_reg(ins.operands[3].index, ins)
+                if ins.mnemonic == "MLA" else None)
+    write = _bind_write(ins, rd.index, ins.set_flags)
+    mult = NodeKind.MULT
+
+    def lift(state):
+        g = state.graph
+        result = g.request_operation(mult, (read_m(state), read_s(state)))
+        if read_acc is not None:
+            result = g.request_operation(_ADD, (result, read_acc(state)))
+        return write(state, result)
+    return lift
 
 
-def _mem_access(state, ins: Instruction, load: bool,
-                byte: bool) -> StepOutcome:
+def _bind_mem(ins: Instruction):
     """LDR, LDRB, STR and STRB, with every addressing mode."""
     rd, mem = ins.operands
-    g = state.graph
-    base = _read_reg(state, mem.base, ins)
-    if mem.offset is None:
-        indexed = base
-    else:
-        offset = _operand_node(state, mem.offset, ins)
-        indexed = _op(state, NodeKind.ADD if mem.add else NodeKind.SUB,
-                      base, offset)
-    addr = indexed if mem.pre else base
-    if not load:
-        g.record_store(addr, _read_reg(state, rd.index, ins))
-    if mem.writeback:
-        if mem.base == 15:
-            raise UnsupportedPcWrite(ins.address)
-        state.regs[REG_NAMES[mem.base]] = indexed
+    load = ins.mnemonic.startswith("LDR")
+    byte = ins.mnemonic.endswith("B")
+    read_base = _bind_reg(mem.base, ins)
+    read_offset = (None if mem.offset is None
+                   else _bind_operand(mem.offset, ins))
+    index_kind = NodeKind.ADD if mem.add else NodeKind.SUB
+    pre = mem.pre
+    writeback = mem.writeback
+    pc_writeback = writeback and mem.base == 15
+    base_name = REG_NAMES[mem.base]
+    address = ins.address
     if load:
-        return _write_reg(state, rd.index, _load_value(state, addr, byte),
-                          ins)
-    return _FALLTHROUGH
+        write = _bind_write(ins, rd.index, False)
+    else:
+        read_rd = _bind_reg(rd.index, ins)
+
+    def lift(state):
+        g = state.graph
+        base = read_base(state)
+        if read_offset is None:
+            indexed = base
+        else:
+            indexed = g.request_operation(index_kind,
+                                          (base, read_offset(state)))
+        addr = indexed if pre else base
+        if not load:
+            g.record_store(addr, read_rd(state))
+        if writeback:
+            if pc_writeback:
+                raise UnsupportedPcWrite(address)
+            state.regs[base_name] = indexed
+        if load:
+            return write(state, _load_value(state, addr, byte))
+        return _FALLTHROUGH
+    return lift
 
 
-def _block_transfer(state, ins: Instruction, load: bool) -> StepOutcome:
+def _bind_block(ins: Instruction):
     """LDM/POP and STM/PUSH in all four addressing modes."""
     rl = ins.operands[0]
-    g = state.graph
-    base = _read_reg(state, rl.base, ins)
+    load = ins.mnemonic in ("LDM", "POP")
     n = len(rl.regs)
     first = {"IA": 0, "IB": 4, "DA": -4 * (n - 1), "DB": -4 * n}[rl.mode]
-    pc_value = None
-    for i, r in enumerate(rl.regs):
-        delta = first + 4 * i
-        if delta:
-            addr = _op(state, NodeKind.ADD, base, g.request_constant(delta))
-        else:
-            addr = base
-        if load:
-            value = _load_value(state, addr, byte=False)
-            if r == 15:
-                pc_value = value
+    # (offset from the base, register name or the reader of a stored
+    # register); PC loads into the step's outcome, not a register
+    slots = [(first + 4 * i,
+              (None if r == 15 else REG_NAMES[r]) if load
+              else _bind_reg(r, ins))
+             for i, r in enumerate(rl.regs)]
+    read_base = _bind_reg(rl.base, ins)
+    base_name = REG_NAMES[rl.base] if rl.writeback else None
+    total = 4 * n if rl.mode in ("IA", "IB") else -4 * n
+    address = ins.address
+
+    def lift(state):
+        g = state.graph
+        base = read_base(state)
+        pc_value = None
+        for delta, reg in slots:
+            if delta:
+                addr = g.request_operation(
+                    _ADD, (base, g.request_constant(delta)))
             else:
-                state.regs[REG_NAMES[r]] = value
-        else:
-            g.record_store(addr, _read_reg(state, r, ins))
-    if rl.writeback:
-        total = 4 * n if rl.mode in ("IA", "IB") else -4 * n
-        state.regs[REG_NAMES[rl.base]] = _op(
-            state, NodeKind.ADD, base, g.request_constant(total))
-    if pc_value is not None:
-        return _pc_write(state, pc_value, ins)
-    return _FALLTHROUGH
+                addr = base
+            if not load:
+                g.record_store(addr, reg(state))
+            elif reg is None:
+                pc_value = _load_value(state, addr, False)
+            else:
+                state.regs[reg] = _load_value(state, addr, False)
+        if base_name is not None:
+            state.regs[base_name] = g.request_operation(
+                _ADD, (base, g.request_constant(total)))
+        if pc_value is not None:
+            return _pc_write(state, pc_value, address)
+        return _FALLTHROUGH
+    return lift
 
 
 # every mnemonic that `decode` emits, and nothing else
-_LIFTERS = {
-    "NOP": lambda state, ins: _FALLTHROUGH,
-    "B": lambda state, ins: StepOutcome(OutcomeKind.JUMP,
-                                        ins.operands[0].address),
-    "BL": lambda state, ins: StepOutcome(OutcomeKind.CALL,
-                                         ins.operands[0].address,
-                                         ins.address + 4),
-    "BX": _lift_bx, "MOV": _lift_mov, "MVN": _lift_mvn,
-    "LSL": _lift_shift, "LSR": _lift_shift, "ASR": _lift_shift,
-    "ROR": _lift_shift, "CMP": _lift_cmp,
-    "CMN": partial(_flag_test, kind=NodeKind.ADD),
-    "TST": partial(_flag_test, kind=NodeKind.AND),
-    "ADD": partial(_alu, kind=NodeKind.ADD), "ADC": _lift_adc,
-    "SUB": partial(_alu, kind=NodeKind.SUB),
-    "RSB": partial(_alu, kind=NodeKind.SUB, swap=True),
-    "AND": partial(_alu, kind=NodeKind.AND),
-    "ORR": partial(_alu, kind=NodeKind.OR),
-    "EOR": partial(_alu, kind=NodeKind.XOR),
-    "BIC": partial(_alu, kind=NodeKind.AND, invert=True),
-    "MUL": partial(_lift_mul, accumulate=False),
-    "MLA": partial(_lift_mul, accumulate=True),
-    "LDR": partial(_mem_access, load=True, byte=False),
-    "LDRB": partial(_mem_access, load=True, byte=True),
-    "STR": partial(_mem_access, load=False, byte=False),
-    "STRB": partial(_mem_access, load=False, byte=True),
-    "LDM": partial(_block_transfer, load=True),
-    "POP": partial(_block_transfer, load=True),
-    "STM": partial(_block_transfer, load=False),
-    "PUSH": partial(_block_transfer, load=False),
+_BINDERS = {
+    "NOP": _bind_nop, "B": _bind_branch, "BL": _bind_branch,
+    "BX": _bind_bx, "MOV": _bind_move, "MVN": _bind_move,
+    "LSL": _bind_move, "LSR": _bind_move, "ASR": _bind_move,
+    "ROR": _bind_move, "CMP": _bind_cmp, "CMN": _bind_flag_test,
+    "TST": _bind_flag_test, **dict.fromkeys(_ALU, _bind_alu),
+    "MUL": _bind_mul, "MLA": _bind_mul,
+    "LDR": _bind_mem, "LDRB": _bind_mem, "STR": _bind_mem,
+    "STRB": _bind_mem,
+    "LDM": _bind_block, "POP": _bind_block, "STM": _bind_block,
+    "PUSH": _bind_block,
 }
 
 
 def execute(state, ins: Instruction) -> StepOutcome:
     """Lift the instruction body, assuming its condition (if any) passed."""
-    return _LIFTERS[ins.mnemonic](state, ins)
+    return ins.lift(state)

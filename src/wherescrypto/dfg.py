@@ -44,7 +44,20 @@ class NodeKind(Enum):
     # are singletons compared by identity, so identity hashing agrees
     # with equality; name hashes already vary with PYTHONHASHSEED, so no
     # output can depend on the hash values.
+    #
+    # Loading a member is slow as well: on Python 3.10 and 3.11
+    # `EnumType` defines `__getattr__`, so `NodeKind.CONST` takes about
+    # 130-170 ns against 10-25 ns for a module global (about 30 ns on
+    # 3.12 and 3.13). Code that runs per request or per lifted step
+    # reads members from module names such as `_CONST` below.
     __hash__ = object.__hash__
+
+
+_CONST, _ADD, _MULT, _AND = (NodeKind.CONST, NodeKind.ADD, NodeKind.MULT,
+                             NodeKind.AND)
+_SHL, _SHR, _ROTATE, _SUB = (NodeKind.SHL, NodeKind.SHR, NodeKind.ROTATE,
+                             NodeKind.SUB)
+_LOAD, _STORE = NodeKind.LOAD, NodeKind.STORE
 
 
 #: Variadic, commutative operator kinds.  Inputs are kept sorted by id.
@@ -154,11 +167,11 @@ class Dfg:
             raise DeadNodeError(f"node {ref} is not live") from None
 
     def is_const(self, ref: NodeRef) -> bool:
-        return self.node(ref).kind is NodeKind.CONST
+        return self.node(ref).kind is _CONST
 
     def const_value(self, ref: NodeRef) -> int:
         n = self.node(ref)
-        if n.kind is not NodeKind.CONST:
+        if n.kind is not _CONST:
             raise GraphError(f"node {ref} is {n.kind.value}, not CONST")
         assert n.const_value is not None
         return n.const_value
@@ -188,13 +201,13 @@ class Dfg:
 
     def request_constant(self, value: int) -> NodeRef:
         value &= MASK32
-        key = (NodeKind.CONST, (), value, None, None, None)
+        key = (_CONST, (), value, None, None, None)
         found = self.cons_table.get(key)
         if found is not None:
             return found
         ref = self._next_id
         self._next_id = ref + 1
-        self.nodes[ref] = Node(ref, NodeKind.CONST, (), value)
+        self.nodes[ref] = Node(ref, _CONST, (), value)
         self.cons_table[key] = ref
         return ref
 
@@ -240,7 +253,7 @@ class Dfg:
             if node is None:
                 raise DeadNodeError(f"request references dead node {ref}")
             if values is not None:
-                if node.kind is NodeKind.CONST:
+                if node.kind is _CONST:
                     values.append(node.const_value)
                 else:
                     values = None
@@ -248,7 +261,7 @@ class Dfg:
             return self._fold_constants(kind, inputs, values)
         if kind in COMMUTATIVE:
             return self._build_commutative(kind, inputs)
-        if kind is NodeKind.SUB:
+        if kind is _SUB:
             return self._build_sub(*inputs)
         return self._build_shift(kind, *inputs)
 
@@ -264,7 +277,7 @@ class Dfg:
         if kind in COMMUTATIVE:
             return self.request_constant(reduce(_FOLD[kind], values))
         a, b = values
-        if kind is NodeKind.SUB:
+        if kind is _SUB:
             self.request_constant(-b)   # (h) in _build_sub: a + (2^32 - b)
             return self.request_constant(a - b)
         _, b = self._shift_amount(kind, inputs[1], b)
@@ -287,7 +300,7 @@ class Dfg:
         rest: list[NodeRef] = []
         for i in flat:
             n = self.nodes[i]
-            if n.kind is NodeKind.CONST:
+            if n.kind is _CONST:
                 acc = _FOLD[kind](acc, n.const_value) & MASK32
             else:
                 rest.append(i)
@@ -302,40 +315,40 @@ class Dfg:
             return rest[0]
 
         # (e) doubling: ADD(x, x) -> MULT(x, 2)
-        if kind is NodeKind.ADD and len(rest) == 2 and rest[0] == rest[1]:
+        if kind is _ADD and len(rest) == 2 and rest[0] == rest[1]:
             return self._build_commutative(
-                NodeKind.MULT, (rest[0], self.request_constant(2)))
+                _MULT, (rest[0], self.request_constant(2)))
 
         # (g) distribute a constant multiplier over an addition
-        if kind is NodeKind.MULT and len(rest) == 2:
+        if kind is _MULT and len(rest) == 2:
             a, b = rest
-            if self.nodes[a].kind is NodeKind.CONST:
+            if self.nodes[a].kind is _CONST:
                 a, b = b, a
-            if (self.nodes[b].kind is NodeKind.CONST
-                    and self.nodes[a].kind is NodeKind.ADD):
+            if (self.nodes[b].kind is _CONST
+                    and self.nodes[a].kind is _ADD):
                 m = b
                 terms = tuple(
-                    self._build_commutative(NodeKind.MULT, (t, m))
+                    self._build_commutative(_MULT, (t, m))
                     for t in self.nodes[a].inputs)
-                return self._build_commutative(NodeKind.ADD, terms)
+                return self._build_commutative(_ADD, terms)
 
         # (f) AND of a masked constant-amount rotate is really a shift:
         # with left-rotation semantics, the low r bits of ROTATE(x, r) are
         # the low r bits of SHR(x, 32-r).
-        if kind is NodeKind.AND and len(rest) == 2:
+        if kind is _AND and len(rest) == 2:
             a, b = rest
-            if self.nodes[a].kind is NodeKind.CONST:
+            if self.nodes[a].kind is _CONST:
                 a, b = b, a
             bn = self.nodes[b]
             an = self.nodes[a]
-            if (bn.kind is NodeKind.CONST and an.kind is NodeKind.ROTATE
-                    and self.nodes[an.inputs[1]].kind is NodeKind.CONST):
+            if (bn.kind is _CONST and an.kind is _ROTATE
+                    and self.nodes[an.inputs[1]].kind is _CONST):
                 r = self.nodes[an.inputs[1]].const_value
                 assert bn.const_value is not None and r is not None
                 if 0 < r < 32 and bn.const_value < (1 << r):
                     shr = self._build_shift(
-                        NodeKind.SHR, an.inputs[0], self.request_constant(32 - r))
-                    return self._build_commutative(NodeKind.AND, (shr, b))
+                        _SHR, an.inputs[0], self.request_constant(32 - r))
+                    return self._build_commutative(_AND, (shr, b))
 
         rest.sort()
         return self._insert(kind, tuple(rest))
@@ -345,7 +358,7 @@ class Dfg:
         """The constant amount ``a`` (node ``amount``) in normal form: a
         rotation by 32 or more is reduced modulo 32, and the reduced
         amount is requested as its own constant."""
-        if kind is NodeKind.ROTATE and a >= 32:
+        if kind is _ROTATE and a >= 32:
             a %= 32
             amount = self.request_constant(a)
         return amount, a
@@ -353,25 +366,25 @@ class Dfg:
     def _build_shift(self, kind: NodeKind, value: NodeRef, amount: NodeRef) -> NodeRef:
         # an all-CONST request was folded by _fold_constants
         amt = self.nodes[amount]
-        if amt.kind is NodeKind.CONST:
+        if amt.kind is _CONST:
             amount, a = self._shift_amount(kind, amount, amt.const_value)
             if a == 0:
                 return value  # (b) shift/rotate by zero
-            if kind is NodeKind.SHL and a == 1:
+            if kind is _SHL and a == 1:
                 # (e) doubling
                 return self._build_commutative(
-                    NodeKind.MULT, (value, self.request_constant(2)))
+                    _MULT, (value, self.request_constant(2)))
         return self._insert(kind, (value, amount))
 
     def _build_sub(self, minuend: NodeRef, subtrahend: NodeRef) -> NodeRef:
         sn = self.nodes[subtrahend]
-        if sn.kind is NodeKind.CONST:
+        if sn.kind is _CONST:
             assert sn.const_value is not None
             # (h) x - c  ->  x + (2^32 - c)
             comp = (MOD32 - sn.const_value) % MOD32
             return self._build_commutative(
-                NodeKind.ADD, (minuend, self.request_constant(comp)))
-        return self._insert(NodeKind.SUB, (minuend, subtrahend))
+                _ADD, (minuend, self.request_constant(comp)))
+        return self._insert(_SUB, (minuend, subtrahend))
 
     def base_offset(self, ref: NodeRef) -> Optional[tuple[NodeRef, int]]:
         """(base, k) when ``ref`` is a two-input ADD of ``base`` and the
@@ -391,7 +404,7 @@ class Dfg:
 
     def record_store(self, addr: NodeRef, value: NodeRef) -> NodeRef:
         self._check_live((addr, value))
-        ref = self._insert(NodeKind.STORE, (addr, value))
+        ref = self._insert(_STORE, (addr, value))
         self.store_map[addr] = value
         return ref
 
@@ -400,7 +413,7 @@ class Dfg:
         forwarded = self.store_map.get(addr)
         if forwarded is not None:
             return forwarded
-        return self._insert(NodeKind.LOAD, (addr,))
+        return self._insert(_LOAD, (addr,))
 
     # ------------------------------------------------------------------
     # purging and forking

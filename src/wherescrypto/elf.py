@@ -108,6 +108,8 @@ def _read_symbols(data: bytes, e_shoff: int, e_shentsize: int,
             if st_shndx == 0 or st_name >= len(strtab):
                 continue
             end = strtab.find(b"\0", st_name)
+            if end < 0:                             # last name, no NUL
+                end = len(strtab)
             name = strtab[st_name:end].decode("utf-8", "replace")
             if not name:
                 continue

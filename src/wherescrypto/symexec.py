@@ -18,7 +18,7 @@ from math import inf, isfinite
 from typing import AbstractSet, NamedTuple, Optional
 
 from . import arm
-from .arm import Instruction, OutcomeKind
+from .arm import _FALLTHROUGH, Instruction, OutcomeKind
 from .dfg import Dfg, NodeKind, NodeRef
 
 SIGNED_MIN = -(1 << 31)
@@ -50,6 +50,17 @@ class Status(Enum):
     COMPLETE = "COMPLETE"
     TIMEOUT = "TIMEOUT"
     ABORTED = "ABORTED"
+
+
+# Enum members read once (see `dfg.NodeKind.__hash__`): the code below
+# runs at every step or every conditional
+_TRUE, _FALSE, _UNDETERMINED = (Verdict.TRUE, Verdict.FALSE,
+                                Verdict.UNDETERMINED)
+_TAKE_TRUE, _TAKE_FALSE, _TAKE_BOTH = (OracleDecision.TAKE_TRUE,
+                                       OracleDecision.TAKE_FALSE,
+                                       OracleDecision.TAKE_BOTH)
+_CONST = NodeKind.CONST
+_JUMP, _CALL = OutcomeKind.JUMP, OutcomeKind.CALL
 
 
 class DeadStateError(Exception):
@@ -114,20 +125,19 @@ class PathCondition:
         # two constants decide the comparison, so such a condition is
         # never undetermined and never among the facts
         n1, n2 = graph.node(cond.v1), graph.node(cond.v2)
-        if n1.kind is NodeKind.CONST and n2.kind is NodeKind.CONST:
+        if n1.kind is _CONST and n2.kind is _CONST:
             holds = _COMPARE[cond.op](_to_signed(n1.const_value),
                                       _to_signed(n2.const_value))
-            return Verdict.TRUE if holds else Verdict.FALSE
+            return _TRUE if holds else _FALSE
         polarity = self.facts.get(cond)
         if polarity is not None:
-            return Verdict.TRUE if polarity else Verdict.FALSE
+            return _TRUE if polarity else _FALSE
         if cond.v1 == cond.v2:
-            return (Verdict.TRUE if cond.op in ("<=", ">=", "==")
-                    else Verdict.FALSE)
-        node = cond.v2 if n1.kind is NodeKind.CONST else cond.v1
+            return _TRUE if cond.op in ("<=", ">=", "==") else _FALSE
+        node = cond.v2 if n1.kind is _CONST else cond.v1
         oriented = _against_constant(graph, cond, node)
         if oriented is None:
-            return Verdict.UNDETERMINED
+            return _UNDETERMINED
         return _judge_interval(*oriented,
                                *self.ranges.get(node, _UNCONSTRAINED))
 
@@ -153,13 +163,13 @@ def _judge_interval(op: str, c: int, lo: int, hi: int,
     below, above = _OPS[op]
     low, high = c + below, c + above
     if low == high and c in excluded:
-        return Verdict.FALSE
+        return _FALSE
     if ((below == -inf or low <= lo <= high)
             and (above == inf or low <= hi <= high)):
-        return Verdict.TRUE
+        return _TRUE
     if lo > high or hi < low:
-        return Verdict.FALSE
-    return Verdict.UNDETERMINED
+        return _FALSE
+    return _UNDETERMINED
 
 
 def _render_operand(graph: Dfg, ref: NodeRef) -> str:
@@ -184,13 +194,11 @@ def oracle_query(e: int, backlog: dict[int, list[bool]],
     decisions = backlog.get(e, [])
     i = len(decisions)
     if i == 0:
-        return OracleDecision.TAKE_BOTH
+        return _TAKE_BOTH
     first = decisions[0]
     if i <= n - 1:
-        return OracleDecision.TAKE_TRUE if first else \
-            OracleDecision.TAKE_FALSE
-    return OracleDecision.TAKE_FALSE if first else \
-        OracleDecision.TAKE_TRUE
+        return _TAKE_TRUE if first else _TAKE_FALSE
+    return _TAKE_FALSE if first else _TAKE_TRUE
 
 
 # Instructions one `explore` call may step, summed over all its paths.
@@ -287,20 +295,20 @@ def handle_conditional(state: ExecState, e: int, cond: Condition,
     two (state, tuple-value) pairs; contradictory extensions are
     dropped."""
     verdict = state.path_condition.evaluate(state.graph, cond)
-    if verdict is Verdict.TRUE:
+    if verdict is _TRUE:
         return [(state, True)]
-    if verdict is Verdict.FALSE:
+    if verdict is _FALSE:
         return [(state, False)]
 
     decision = oracle_query(e, state.backlog, n)
-    if decision is OracleDecision.TAKE_BOTH and live_count >= fork_cap:
-        decision = OracleDecision.TAKE_FALSE
+    if decision is _TAKE_BOTH and live_count >= fork_cap:
+        decision = _TAKE_FALSE
         state.flags.add("fork cap reached")
 
-    if decision is OracleDecision.TAKE_BOTH:
+    if decision is _TAKE_BOTH:
         sides = [(state, True), (state.fork(), False)]
     else:
-        sides = [(state, decision is OracleDecision.TAKE_TRUE)]
+        sides = [(state, decision is _TAKE_TRUE)]
     out: list[tuple[ExecState, bool]] = []
     for st, value in sides:
         try:
@@ -324,10 +332,11 @@ def purge_roots(graph: Dfg, state_regs: dict[str, NodeRef],
     roots: set[NodeRef] = set()
     if complete:
         roots.add(state_regs["R0"])
+    call, store = NodeKind.CALL, NodeKind.STORE
     for ref, node in graph.nodes.items():
-        if node.kind is NodeKind.CALL:
+        if node.kind is call:
             roots.add(ref)
-        elif node.kind is NodeKind.STORE:
+        elif node.kind is store:
             if not _stack_address(graph, node.inputs[0], sp_input):
                 roots.add(ref)
     return roots
@@ -412,9 +421,7 @@ class Explorer:
                     state.flags.add(str(err))
                     return self._finish(state, Status.ABORTED)
 
-            if ins.cond == "AL":
-                end = self._execute(state, ins)
-            else:
+            if ins.cond != "AL":
                 (v1, op, v2), expect = arm.condition_info(state, ins.cond)
                 pairs = handle_conditional(
                     state, state.pc, Condition(v1, op, v2), config.n,
@@ -430,12 +437,26 @@ class Explorer:
                     else:
                         results.append(done)
                 state, value = pairs[0]
-                end = self._execute(state, ins, value == expect)
+                if value != expect:
+                    state.pc = ins.address + 4
+                    continue
+
+            # the body of `_execute`, kept inline for the step that
+            # falls through, which is most steps
+            try:
+                outcome = arm.execute(state, ins)
+            except arm.UnsupportedPcWrite as err:
+                state.flags.add(str(err))
+                return self._finish(state, Status.ABORTED)
+            if outcome is _FALLTHROUGH:
+                state.pc = ins.address + 4
+                continue
+            end = self._follow(state, outcome)
             if end is not None:
                 return end
 
     def _execute(self, state: ExecState, ins: Instruction,
-                 taken: bool = True) -> Optional[PathResult]:
+                 taken: bool) -> Optional[PathResult]:
         """Skip the instruction when its condition failed, else lift it
         and follow its outcome.  Returns None to keep stepping or the
         PathResult that ends the path."""
@@ -447,17 +468,23 @@ class Explorer:
         except arm.UnsupportedPcWrite as err:
             state.flags.add(str(err))
             return self._finish(state, Status.ABORTED)
-        kind = outcome.kind
-        if kind is OutcomeKind.FALLTHROUGH:
+        if outcome is _FALLTHROUGH:
             state.pc = ins.address + 4
             return None
-        if kind is OutcomeKind.JUMP:
+        return self._follow(state, outcome)
+
+    def _follow(self, state: ExecState,
+                outcome: arm.StepOutcome) -> Optional[PathResult]:
+        """Follow a jump, call or return; `arm.execute` returns every
+        fall-through as the shared `_FALLTHROUGH`, handled before."""
+        kind = outcome.kind
+        if kind is _JUMP:
             target = outcome.target
             if state.call_stack and target == state.call_stack[-1]:
                 state.call_stack.pop()
             state.pc = target
             return None
-        if kind is OutcomeKind.CALL:
+        if kind is _CALL:
             self._handle_call(state, outcome.target,
                               outcome.return_address)
             return None

@@ -2,8 +2,9 @@
 signature/target pair generators for the matcher-versus-oracle battery,
 the exhaustive matching oracle, a plain reference matcher with
 generators for large targets, the branch-per-operator interval judge
-that `symexec._judge_interval` restates, and the rescanning path
-condition that `symexec.PathCondition` keeps indexed.
+that `symexec._judge_interval` restates, the rescanning path
+condition that `symexec.PathCondition` keeps indexed, and the
+per-step lifter table that `arm`'s bound lifters replaced.
 
 Used by both the unit property tests and the acceptance suite.  A spec
 is a (kind, arguments) pair that `request_spec` sends to the broker
@@ -17,8 +18,12 @@ tests instead.
 from __future__ import annotations
 
 import random
+from functools import partial
+from typing import Optional
 
-from wherescrypto.dfg import COMMUTATIVE, Dfg, Node, NodeKind
+from wherescrypto import arm
+from wherescrypto.arm import OutcomeKind
+from wherescrypto.dfg import COMMUTATIVE, MASK32, Dfg, Node, NodeKind
 from wherescrypto.matcher import (Mapping, _assignment_ok, _inputs_ok,
                                   _node_tag_ok, _ordered, _subset_arity)
 from wherescrypto.sigdsl import SignatureGraph
@@ -587,3 +592,279 @@ class ReferencePathCondition:
             return Verdict.UNDETERMINED
         op, c = oriented
         return reference_judge_interval(op, c, *self.interval(graph, node))
+
+
+# ----------------------------------------------------------------------
+# the per-step lifters that `arm`'s binders replaced, kept as their
+# reference: one table entry per mnemonic, dispatched at every step
+
+_REF_FALLTHROUGH = arm.StepOutcome(OutcomeKind.FALLTHROUGH)
+_REF_RETURN = arm.StepOutcome(OutcomeKind.RETURN)
+
+
+def _read_reg(state, index: int, ins: arm.Instruction) -> int:
+    if index == 15:
+        return state.graph.request_constant(ins.address + 8)
+    return state.regs[arm.REG_NAMES[index]]
+
+
+def _pc_write(state, value: int, ins: arm.Instruction) -> arm.StepOutcome:
+    g = state.graph
+    if value == state.initial_lr:
+        return _REF_RETURN
+    if g.is_const(value):
+        return arm.StepOutcome(OutcomeKind.JUMP, g.const_value(value))
+    raise arm.UnsupportedPcWrite(ins.address)
+
+
+def _write_reg(state, index: int, value: int,
+               ins: arm.Instruction) -> arm.StepOutcome:
+    if index == 15:
+        return _pc_write(state, value, ins)
+    state.regs[arm.REG_NAMES[index]] = value
+    return _REF_FALLTHROUGH
+
+
+def _write_result(state, ins: arm.Instruction, rd: arm.Reg, result: int,
+                  flags: Optional[tuple[int, int]] = None
+                  ) -> arm.StepOutcome:
+    """The tail of every data-processing lifter: with the S bit set the
+    flags come from ``flags``, or else from comparing the result with
+    zero; then the result goes to Rd, where a write to PC ends the
+    step."""
+    if ins.set_flags:
+        state.flag_source = flags or (result,
+                                      state.graph.request_constant(0))
+    return _write_reg(state, rd.index, result, ins)
+
+
+def _op(state, kind: NodeKind, *inputs: int) -> int:
+    return state.graph.request_operation(kind, inputs)
+
+
+def _not(state, value: int) -> int:
+    return _op(state, NodeKind.XOR, value,
+               state.graph.request_constant(MASK32))
+
+
+def _operand_node(state, op: arm.Operand, ins: arm.Instruction) -> int:
+    g = state.graph
+    if isinstance(op, arm.Imm):
+        return g.request_constant(op.value)
+    if isinstance(op, arm.Reg):
+        return _read_reg(state, op.index, ins)
+    if isinstance(op, arm.ShiftedReg):
+        value = _read_reg(state, op.reg, ins)
+        if op.amount_reg is not None:
+            amount = _read_reg(state, op.amount_reg, ins)
+        else:
+            amount = g.request_constant(op.amount)
+        return _apply_shift(state, op.kind, value, amount)
+    raise TypeError(f"not a value operand: {op!r}")
+
+
+def _apply_shift(state, kind: str, value: int, amount: int) -> int:
+    g = state.graph
+    if kind == "LSL":
+        return _op(state, NodeKind.SHL, value, amount)
+    if kind == "LSR":
+        return _op(state, NodeKind.SHR, value, amount)
+    if kind == "ASR":
+        state.approx.add("ASR lifted as logical shift right")
+        return _op(state, NodeKind.SHR, value, amount)
+    # right rotation by c is canonical left rotation by 32 - c
+    if g.is_const(amount):
+        left = g.request_constant((32 - g.const_value(amount)) % 32)
+    else:
+        left = _op(state, NodeKind.SUB, g.request_constant(32), amount)
+    return _op(state, NodeKind.ROTATE, value, left)
+
+
+def _in_image(state, address: int, length: int) -> bool:
+    if state.image is None:
+        return False
+    off = address - state.base
+    return 0 <= off and off + length <= len(state.image)
+
+
+def _load_value(state, addr: int, byte: bool) -> int:
+    g = state.graph
+    if addr not in g.store_map and g.is_const(addr):
+        address = g.const_value(addr)
+        if byte and _in_image(state, address, 1):
+            return g.request_constant(state.image[address - state.base])
+        if not byte and _in_image(state, address, 4):
+            return g.request_constant(
+                arm.fetch_word(state.image, address, state.base))
+    value = g.request_load(addr)
+    if byte:
+        value = _op(state, NodeKind.AND, value,
+                    g.request_constant(0xFF))
+    return value
+
+
+def _lift_bx(state, ins: arm.Instruction) -> arm.StepOutcome:
+    return _pc_write(state, _read_reg(state, ins.operands[0].index, ins),
+                     ins)
+
+
+def _lift_mov(state, ins: arm.Instruction) -> arm.StepOutcome:
+    rd, src = ins.operands
+    return _write_result(state, ins, rd, _operand_node(state, src, ins))
+
+
+def _lift_mvn(state, ins: arm.Instruction) -> arm.StepOutcome:
+    rd, src = ins.operands
+    return _write_result(state, ins, rd,
+                         _not(state, _operand_node(state, src, ins)))
+
+
+def _lift_shift(state, ins: arm.Instruction) -> arm.StepOutcome:
+    rd, rm, by = ins.operands
+    value = _read_reg(state, rm.index, ins)
+    amount = _operand_node(state, by, ins)
+    return _write_result(state, ins, rd,
+                         _apply_shift(state, ins.mnemonic, value, amount))
+
+
+def _lift_cmp(state, ins: arm.Instruction) -> arm.StepOutcome:
+    rn, op2 = ins.operands
+    state.flag_source = (_read_reg(state, rn.index, ins),
+                         _operand_node(state, op2, ins))
+    return _REF_FALLTHROUGH
+
+
+def _flag_test(state, ins: arm.Instruction,
+               kind: NodeKind) -> arm.StepOutcome:
+    """CMN and TST: flags from comparing ``kind(Rn, Op2)`` with zero."""
+    rn, op2 = ins.operands
+    a = _read_reg(state, rn.index, ins)
+    result = _op(state, kind, a, _operand_node(state, op2, ins))
+    state.flag_source = (result, state.graph.request_constant(0))
+    return _REF_FALLTHROUGH
+
+
+def _alu(state, ins: arm.Instruction, kind: NodeKind, swap: bool = False,
+         invert: bool = False) -> arm.StepOutcome:
+    """``Rd = kind(Rn, Op2)``; ``swap`` exchanges the two operands (RSB)
+    and ``invert`` complements Op2 first (BIC).  A flag-setting
+    subtraction compares its operands, as CMP does."""
+    rd, rn, op2 = ins.operands
+    a = _read_reg(state, rn.index, ins)
+    b = _operand_node(state, op2, ins)
+    if swap:
+        a, b = b, a
+    if invert:
+        b = _not(state, b)
+    flags = (a, b) if kind is NodeKind.SUB else None
+    return _write_result(state, ins, rd, _op(state, kind, a, b), flags)
+
+
+def _lift_adc(state, ins: arm.Instruction) -> arm.StepOutcome:
+    state.approx.add("ADC lifted without carry-in")
+    return _alu(state, ins, NodeKind.ADD)
+
+
+def _lift_mul(state, ins: arm.Instruction,
+              accumulate: bool) -> arm.StepOutcome:
+    rd, rm, rs = ins.operands[:3]
+    result = _op(state, NodeKind.MULT, _read_reg(state, rm.index, ins),
+                 _read_reg(state, rs.index, ins))
+    if accumulate:
+        result = _op(state, NodeKind.ADD, result,
+                     _read_reg(state, ins.operands[3].index, ins))
+    return _write_result(state, ins, rd, result)
+
+
+def _mem_access(state, ins: arm.Instruction, load: bool,
+                byte: bool) -> arm.StepOutcome:
+    """LDR, LDRB, STR and STRB, with every addressing mode."""
+    rd, mem = ins.operands
+    g = state.graph
+    base = _read_reg(state, mem.base, ins)
+    if mem.offset is None:
+        indexed = base
+    else:
+        offset = _operand_node(state, mem.offset, ins)
+        indexed = _op(state, NodeKind.ADD if mem.add else NodeKind.SUB,
+                      base, offset)
+    addr = indexed if mem.pre else base
+    if not load:
+        g.record_store(addr, _read_reg(state, rd.index, ins))
+    if mem.writeback:
+        if mem.base == 15:
+            raise arm.UnsupportedPcWrite(ins.address)
+        state.regs[arm.REG_NAMES[mem.base]] = indexed
+    if load:
+        return _write_reg(state, rd.index, _load_value(state, addr, byte),
+                          ins)
+    return _REF_FALLTHROUGH
+
+
+def _block_transfer(state, ins: arm.Instruction,
+                    load: bool) -> arm.StepOutcome:
+    """LDM/POP and STM/PUSH in all four addressing modes."""
+    rl = ins.operands[0]
+    g = state.graph
+    base = _read_reg(state, rl.base, ins)
+    n = len(rl.regs)
+    first = {"IA": 0, "IB": 4, "DA": -4 * (n - 1), "DB": -4 * n}[rl.mode]
+    pc_value = None
+    for i, r in enumerate(rl.regs):
+        delta = first + 4 * i
+        if delta:
+            addr = _op(state, NodeKind.ADD, base, g.request_constant(delta))
+        else:
+            addr = base
+        if load:
+            value = _load_value(state, addr, byte=False)
+            if r == 15:
+                pc_value = value
+            else:
+                state.regs[arm.REG_NAMES[r]] = value
+        else:
+            g.record_store(addr, _read_reg(state, r, ins))
+    if rl.writeback:
+        total = 4 * n if rl.mode in ("IA", "IB") else -4 * n
+        state.regs[arm.REG_NAMES[rl.base]] = _op(
+            state, NodeKind.ADD, base, g.request_constant(total))
+    if pc_value is not None:
+        return _pc_write(state, pc_value, ins)
+    return _REF_FALLTHROUGH
+
+
+_REFERENCE_LIFTERS = {
+    "NOP": lambda state, ins: _REF_FALLTHROUGH,
+    "B": lambda state, ins: arm.StepOutcome(OutcomeKind.JUMP,
+                                            ins.operands[0].address),
+    "BL": lambda state, ins: arm.StepOutcome(OutcomeKind.CALL,
+                                             ins.operands[0].address,
+                                             ins.address + 4),
+    "BX": _lift_bx, "MOV": _lift_mov, "MVN": _lift_mvn,
+    "LSL": _lift_shift, "LSR": _lift_shift, "ASR": _lift_shift,
+    "ROR": _lift_shift, "CMP": _lift_cmp,
+    "CMN": partial(_flag_test, kind=NodeKind.ADD),
+    "TST": partial(_flag_test, kind=NodeKind.AND),
+    "ADD": partial(_alu, kind=NodeKind.ADD), "ADC": _lift_adc,
+    "SUB": partial(_alu, kind=NodeKind.SUB),
+    "RSB": partial(_alu, kind=NodeKind.SUB, swap=True),
+    "AND": partial(_alu, kind=NodeKind.AND),
+    "ORR": partial(_alu, kind=NodeKind.OR),
+    "EOR": partial(_alu, kind=NodeKind.XOR),
+    "BIC": partial(_alu, kind=NodeKind.AND, invert=True),
+    "MUL": partial(_lift_mul, accumulate=False),
+    "MLA": partial(_lift_mul, accumulate=True),
+    "LDR": partial(_mem_access, load=True, byte=False),
+    "LDRB": partial(_mem_access, load=True, byte=True),
+    "STR": partial(_mem_access, load=False, byte=False),
+    "STRB": partial(_mem_access, load=False, byte=True),
+    "LDM": partial(_block_transfer, load=True),
+    "POP": partial(_block_transfer, load=True),
+    "STM": partial(_block_transfer, load=False),
+    "PUSH": partial(_block_transfer, load=False),
+}
+
+
+def reference_execute(state, ins: arm.Instruction) -> arm.StepOutcome:
+    """Lift the instruction body as `arm.execute` did before binding."""
+    return _REFERENCE_LIFTERS[ins.mnemonic](state, ins)

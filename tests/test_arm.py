@@ -10,9 +10,10 @@ execution state and check the graph structure they request.
 from __future__ import annotations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_execute
 from wherescrypto import arm, asm
 from wherescrypto.arm import OutcomeKind, UndecodableError, decode_word
 from wherescrypto.asm import AsmError, assemble
@@ -221,6 +222,122 @@ def test_decode_and_lift_contract(word, address):
         assert err.address == address
         return
     assert isinstance(outcome, arm.StepOutcome)
+
+
+IMAGE_BASE = 0x8000
+IMAGE_WORDS = 64
+_BATTERY_WORDS = [int.from_bytes(_image[off:off + 4], "little")
+                  for _image in [assemble(BATTERY, origin=0)]
+                  for off in range(0, len(_image), 4)]
+# half of the constants are addresses inside the image, so that loads
+# and PC writes fold; the others lie near 0, near 2^31 or near 2^32
+_REG_VALUES = st.booleans().flatmap(lambda inside: (
+    st.integers(IMAGE_BASE, IMAGE_BASE + 4 * IMAGE_WORDS - 1) if inside
+    else st.one_of(st.integers(0, 16),
+                   st.integers((1 << 31) - 16, (1 << 31) + 16),
+                   st.integers(MASK32 - 16, MASK32))))
+
+
+def _lift_with(execute, ins, image, values, flags, store):
+    """Lift ``ins`` with ``execute`` on a state whose registers R0 ...
+    LR hold the constants in ``values`` (None keeps the input), with
+    the flag source ``flags`` (a register pair or None) and, when
+    ``store`` is a register, a store of that register to its own
+    address; returns everything the lift can change."""
+    state = ExecState.initial(ins.address, image, IMAGE_BASE)
+    g = state.graph
+    for name, value in zip(arm.REG_NAMES, values):
+        if value is not None:
+            state.regs[name] = g.request_constant(value)
+    if flags is not None:
+        state.flag_source = (state.regs[flags[0]], state.regs[flags[1]])
+    if store is not None:
+        g.record_store(state.regs[store], state.regs[store])
+    try:
+        result = execute(state, ins)
+    except Exception as err:                       # compared, not hidden
+        result = (type(err), str(err))
+    return (result, g.serialize(), dict(state.regs), state.flag_source,
+            sorted(state.approx), dict(g.store_map))
+
+
+_NAMES = st.sampled_from(arm.REG_NAMES[:15])
+# random words seldom load at all: these are unconditional single
+# transfers, with an offset of at most 15 bytes or a plain register
+_TRANSFERS = st.builds(
+    lambda bits, rn, rd, offset: (0xE4000000 | bits << 20 | rn << 16
+                                  | rd << 12 | offset),
+    st.integers(0, 0x3F), st.integers(0, 15), st.integers(0, 15),
+    st.integers(0, 15))
+_FILL = bytes(range(4 * IMAGE_WORDS))
+
+
+def _consts(**regs: int) -> list:
+    return [regs.get(name) for name in arm.REG_NAMES[:15]]
+
+
+# the folding paths are each taken at least once by an example below
+@settings(max_examples=500, deadline=None)
+@given(word=st.one_of(st.integers(0, MASK32), st.sampled_from(_BATTERY_WORDS),
+                      _TRANSFERS),
+       slot=st.integers(0, IMAGE_WORDS - 1),
+       fill=st.binary(min_size=4 * IMAGE_WORDS, max_size=4 * IMAGE_WORDS),
+       values=st.lists(st.none() | _REG_VALUES, min_size=15, max_size=15),
+       flags=st.none() | st.tuples(_NAMES, _NAMES),
+       store=st.none() | _NAMES)
+@example(word=_word("ldrb r0, [r1, #3]"), slot=0, fill=_FILL,
+         values=_consts(R1=IMAGE_BASE), flags=None, store=None)
+@example(word=_word("ldrb r2, [r3, r4]"), slot=0, fill=_FILL,
+         values=_consts(R3=IMAGE_BASE, R4=6), flags=None, store=None)
+@example(word=_word("ldr r0, [r1], #4"), slot=0, fill=_FILL,
+         values=_consts(R1=IMAGE_BASE + 8), flags=None, store=None)
+@example(word=_word("ldr r0, [pc, #-4]"), slot=3, fill=_FILL,
+         values=_consts(), flags=None, store=None)
+@example(word=_word("ldr r0, [r1]"), slot=0, fill=_FILL,
+         values=_consts(R1=IMAGE_BASE), flags=None, store="R1")
+@example(word=_word("pop {r4, pc}"), slot=0, fill=_FILL,
+         values=_consts(SP=IMAGE_BASE + 16), flags=None, store=None)
+@example(word=_word("ldmib r0!, {r1, r2}"), slot=0, fill=_FILL,
+         values=_consts(R0=IMAGE_BASE), flags=None, store=None)
+@example(word=_word("ror r0, r1, r2"), slot=0, fill=_FILL,
+         values=_consts(R1=5, R2=40), flags=None, store=None)
+@example(word=_word("eor r0, r1, r2, ror #8"), slot=0, fill=_FILL,
+         values=_consts(R1=5, R2=0x80000001), flags=None, store=None)
+@example(word=_word("mov pc, r0"), slot=0, fill=_FILL,
+         values=_consts(R0=IMAGE_BASE), flags=None, store=None)
+@example(word=_word("bx r1"), slot=0, fill=_FILL,
+         values=_consts(R1=IMAGE_BASE + 4), flags=None, store=None)
+@example(word=_word("subs r0, r1, #1"), slot=0, fill=_FILL,
+         values=_consts(R1=0), flags=("R1", "R2"), store=None)
+@example(word=_word("rsbs r0, r1, r2"), slot=0, fill=_FILL,
+         values=_consts(R1=3, R2=2), flags=None, store=None)
+@example(word=_word("bics r0, r1, #1"), slot=0, fill=_FILL,
+         values=_consts(R1=0x80000000), flags=None, store=None)
+@example(word=_word("mlas r0, r1, r2, r3"), slot=0, fill=_FILL,
+         values=_consts(R1=7, R2=9, R3=MASK32), flags=None, store=None)
+def test_bound_lifters_match_the_reference(word, slot, fill, values, flags,
+                                           store):
+    """Each bound lifter requests the same nodes in the same order as
+    the per-step reference lifter, and leaves the same registers, flag
+    source, approximations and store map, or raises the same error,
+    from states that mix constants and inputs, so that the folding
+    paths are checked instruction by instruction."""
+    address = IMAGE_BASE + 4 * slot
+    try:
+        ins = decode_word(word, address)
+    except UndecodableError:
+        assume(False)
+    image = bytearray(fill)
+    image[4 * slot:4 * slot + 4] = word.to_bytes(4, "little")
+    image = bytes(image)
+    bound = _lift_with(arm.execute, ins, image, values, flags, store)
+    reference = _lift_with(reference_execute, ins, image, values, flags,
+                           store)
+    assert bound == reference
+    outcome = bound[0]
+    if getattr(outcome, "kind", None) is OutcomeKind.FALLTHROUGH:
+        # the explorer tells a fall-through by identity
+        assert outcome is arm._FALLTHROUGH
 
 
 def test_misaligned_address_rejected():

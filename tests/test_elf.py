@@ -35,11 +35,11 @@ def section_header(sh_type: int, offset: int, size: int, link: int = 0,
                        entsize)
 
 
-def well_formed() -> bytes:
+def well_formed(strtab: bytes = b"\0func\0") -> bytes:
     """One PT_LOAD segment with 8 bytes of bss, and a symbol table
-    naming one function at its start."""
+    naming one function at its start with the name at offset 1 of
+    ``strtab``."""
     text_off = 52 + 32
-    strtab = b"\0func\0"
     str_off = text_off + len(TEXT)
     sym_off = str_off + len(strtab)
     symtab = bytes(16) + struct.pack("<IIIBBH", 1, VADDR, len(TEXT), 0x12,
@@ -59,6 +59,11 @@ def test_well_formed_file_loads():
     assert loaded.base == VADDR
     assert loaded.image == TEXT + bytes(8)
     assert loaded.functions == {"func": VADDR}
+
+
+def test_last_name_without_nul_is_read_to_the_end_of_the_table():
+    loaded = load_elf(well_formed(b"\0funcX"))
+    assert loaded.functions == {"funcX": VADDR}
 
 
 def test_program_headers_past_end_of_file_exit_2(tmp_path, capsys):

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import ReferencePathCondition, reference_judge_interval
+from test_match_pin import _bench_corpus
 from wherescrypto import arm, symexec
 from wherescrypto.asm import assemble
 from wherescrypto.dfg import Dfg, NodeKind
@@ -429,6 +430,46 @@ def test_explore_decodes_each_address_once(monkeypatch):
     results = explore(0, assemble(LOOP_FIXTURE), Config(n=8, timeout=5))
     assert len(results) == 2
     assert len(decoded) == len(set(decoded)) == 9
+
+
+def test_explorer_reaches_the_lifter_through_the_arm_module(monkeypatch):
+    """The benchmark's tracer wraps `arm.decode` and `arm.execute`, so
+    the explorer must call both through the module: one decode per
+    distinct address and one execute per instruction whose condition
+    held, on a seed-1 `selftest-loops` function with skipped
+    conditional steps."""
+    bench = _bench_corpus()
+    corpus = bench.generate("selftest-loops", 1)
+    decoded = _count_decodes(monkeypatch)
+    counts = {"execute": 0, "skipped": 0}
+    expected: list[bool] = []
+    execute, condition_info = arm.execute, arm.condition_info
+    handle = symexec.handle_conditional
+
+    def counting_execute(state, ins):
+        counts["execute"] += 1
+        return execute(state, ins)
+
+    def noting_condition(state, cond):
+        info = condition_info(state, cond)
+        expected.append(info[1])
+        return info
+
+    def counting_skips(*args, **kwargs):
+        pairs = handle(*args, **kwargs)
+        counts["skipped"] += sum(value != expected[-1] for _, value in pairs)
+        return pairs
+
+    monkeypatch.setattr(arm, "execute", counting_execute)
+    monkeypatch.setattr(arm, "condition_info", noting_condition)
+    monkeypatch.setattr(symexec, "handle_conditional", counting_skips)
+    [path] = explore(corpus.entries["crc32_check_a"], corpus.image,
+                     Config(n=corpus.n, depth=bench.DEPTH,
+                            timeout=bench.TIMEOUT), base=corpus.base)
+    assert path.status is Status.COMPLETE
+    assert decoded and len(decoded) == len(set(decoded))
+    assert counts["skipped"] > 0
+    assert counts["execute"] == path.steps - counts["skipped"]
 
 
 def test_explore_decode_memo_keeps_paths():
