@@ -163,11 +163,12 @@ class TargetIndex:
     Target nodes are numbered densely in ascending ref order, and a set
     of them is a Python int whose bit i stands for `refs[i]`.  The
     tag buckets and arity masks behind `domain` are built with the
-    index; `tables(pos)` reads the operand and consumer relations off
-    the graph on first use, restricted to operand position `pos` or
-    over every position for None, so a graph that fails every
-    candidate check pays only for its buckets.  The graph must not
-    change while the index is in use.
+    index.  `consumed(k)`, the nodes with at least k distinct
+    consumers, and `tables(pos)`, the operand and consumer relations
+    restricted to operand position `pos` or over every position for
+    None, are read off the graph on first use, so a graph that fails
+    every candidate check pays only for its buckets.  The graph must
+    not change while the index is in use.
     """
 
     def __init__(self, target: Dfg):
@@ -185,6 +186,8 @@ class TargetIndex:
             self._arity[arity] = self._arity.get(arity, 0) | one
         self._tables: dict[Optional[int], tuple[_Table, _Table]] = {}
         self._domains: dict[tuple, int] = {}
+        self._degree: Optional[list[int]] = None
+        self._consumed: dict[int, int] = {}
 
     def tables(self, pos: Optional[int]) -> tuple[_Table, _Table]:
         """(operands, consumers) of every node, at operand position
@@ -201,6 +204,23 @@ class TargetIndex:
                         args[i] |= 1 << j
                         users[j] |= 1 << i
             found = self._tables[pos] = (_Table(args), _Table(users))
+        return found
+
+    def consumed(self, k: int) -> int:
+        """Target nodes with at least `k` distinct consumers."""
+        found = self._consumed.get(k)
+        if found is None:
+            if self._degree is None:
+                bit = self._bit
+                self._degree = [0] * len(self.refs)
+                for node in self.target.nodes.values():
+                    for r in set(node.inputs):
+                        self._degree[bit[r]] += 1
+            found = 0
+            for i, n in enumerate(self._degree):
+                if n >= k:
+                    found |= 1 << i
+            self._consumed[k] = found
         return found
 
     def domain(self, key: tuple) -> int:
@@ -250,27 +270,43 @@ def _domain_key(sig: SignatureGraph, ref: NodeRef, node: Node) -> tuple:
 def _plan(sig: SignatureGraph) -> tuple:
     """The target-independent part of `_initial_candidates`, worked
     out on first use and kept in ``sig.plan``: each node with its
-    domain key, in node order, and the distinct keys."""
+    domain key and its number of distinct consumers, in node order,
+    and the distinct keys."""
     if sig.plan is None:
-        nodes = tuple((ref, _domain_key(sig, ref, node))
+        users: dict[NodeRef, set[NodeRef]] = {r: set()
+                                              for r in sig.graph.nodes}
+        for ref, node in sig.graph.nodes.items():
+            for i in node.inputs:
+                users[i].add(ref)
+        nodes = tuple((ref, _domain_key(sig, ref, node), len(users[ref]))
                       for ref, node in sig.graph.nodes.items())
-        sig.plan = (nodes, tuple(dict.fromkeys(key for _, key in nodes)))
+        sig.plan = (nodes, tuple(dict.fromkeys(key for _, key, _ in nodes)))
     return sig.plan
 
 
 def _initial_candidates(sig: SignatureGraph,
                         index: TargetIndex) -> Optional[dict[NodeRef, int]]:
-    """Candidate domains from the tag and arity conjuncts alone, or
-    None when one of them is empty.  Nodes with the same domain key
-    share a domain, so each distinct key is looked up once, before any
-    domain is handed out."""
+    """Candidate domains from the tag and arity conjuncts and the
+    consumer degree, or None when one of them is empty.
+
+    Every distinct domain key is checked first, and only when none of
+    them is empty are the domains cut by degree: the mapping is
+    injective, so a node with k distinct consumers can only stand for
+    a target node with at least k (`TargetIndex.consumed`).  A graph
+    that fails at tag or arity never counts its consumers."""
     nodes, keys = _plan(sig)
-    domains = {}
     for key in keys:
-        domains[key] = index.domain(key)
-        if not domains[key]:
+        if not index.domain(key):
             return None
-    return {ref: domains[key] for ref, key in nodes}
+    cands = {}
+    for ref, key, k in nodes:
+        dom = index.domain(key)
+        if k:
+            dom &= index.consumed(k)
+            if not dom:
+                return None
+        cands[ref] = dom
+    return cands
 
 
 def _refine(links: _Links, cands: dict[NodeRef, int]) -> bool:
@@ -278,20 +314,27 @@ def _refine(links: _Links, cands: dict[NodeRef, int]) -> bool:
     every signature neighbor still has a compatible candidate adjacent
     to it.  Returns False if some signature node runs out.
 
-    Runs as a first-in first-out worklist: when a candidate set
-    shrinks, only the nodes whose support could depend on it are
-    re-examined.  A sparse domain facing a larger neighbor domain is
-    checked candidate by candidate; otherwise it is intersected with
-    the union of the neighbor's support rows (`_Table.union`).  Both
-    keep exactly the candidates with a compatible neighbor, so every
-    intermediate domain, and the fixed point, is the same either way."""
+    Runs as a first-in first-out worklist (AC-3): every node is checked
+    against all its neighbors once, and afterwards a node is queued
+    again only when a neighbor's domain shrinks, and then re-checked
+    against just the neighbors that shrank since its last check; its
+    support on the others cannot have changed.  The fixed point is the
+    unique largest one either way.  A sparse domain facing a larger
+    neighbor domain is checked candidate by candidate; otherwise it is
+    intersected with the union of the neighbor's support rows
+    (`_Table.union`).  Both keep exactly the candidates with a
+    compatible neighbor."""
     queue = deque(sorted(cands))
-    queued = set(queue)
+    # queued node -> the neighbors that shrank since its last check,
+    # or None to check them all
+    changed: dict[NodeRef, Optional[set[NodeRef]]] = dict.fromkeys(queue)
     while queue:
         s_ref = queue.popleft()
-        queued.discard(s_ref)
+        dirty = changed.pop(s_ref)
         dom = cands[s_ref]
         for nbr, own, theirs in links[s_ref]:
+            if dirty is not None and nbr not in dirty:
+                continue
             other = cands[nbr]
             size = dom.bit_count()
             if size <= _SPARSE and size <= other.bit_count():
@@ -308,9 +351,11 @@ def _refine(links: _Links, cands: dict[NodeRef, int]) -> bool:
         if dom != cands[s_ref]:
             cands[s_ref] = dom
             for nbr, _, _ in links[s_ref]:
-                if nbr not in queued:
-                    queued.add(nbr)
+                if nbr not in changed:
+                    changed[nbr] = {s_ref}
                     queue.append(nbr)
+                elif changed[nbr] is not None:
+                    changed[nbr].add(s_ref)
     return True
 
 
@@ -478,37 +523,53 @@ def _consumers(target: Dfg) -> dict[NodeRef, list[NodeRef]]:
     return uses
 
 
-def _bfs_path(target: Dfg, uses: dict[NodeRef, list[NodeRef]],
+def _adjacency(target: Dfg, uses: dict[NodeRef, list[NodeRef]],
+               ) -> dict[NodeRef, list[tuple[NodeRef, str]]]:
+    """Each node's undirected neighbors as (neighbor, direction): its
+    consumers ('fwd', with data flow) in `uses` order, then its operands
+    ('rev', against it) in input order."""
+    return {ref: [(w, "fwd") for w in uses.get(ref, ())]
+            + [(w, "rev") for w in node.inputs]
+            for ref, node in target.nodes.items()}
+
+
+def _bfs_path(adjacency: dict[NodeRef, list[tuple[NodeRef, str]]],
               start: NodeRef, goal: NodeRef,
               blocked: set[tuple[NodeRef, NodeRef]],
               ) -> Optional[list[tuple[NodeRef, str]]]:
-    """Shortest undirected path as [(node, direction-of-arrival)],
-    where 'fwd' follows data flow (operand to consumer) and 'rev' goes
-    against it.  `blocked` lists undirected edges to avoid."""
+    """Shortest undirected path over `adjacency` as
+    [(node, direction-of-arrival)], where 'fwd' follows data flow
+    (operand to consumer) and 'rev' goes against it.  `blocked` lists
+    undirected edges to avoid.
+
+    The search ends as soon as the goal is discovered: its parent is
+    fixed then, so the path is the one found when it would be popped."""
+    ends = {n for edge in blocked for n in edge}
     parents: dict[NodeRef, tuple[Optional[NodeRef], str]] = {
         start: (None, "")}
     queue = deque([start])
-    while queue:
+    while queue and goal not in parents:
         u = queue.popleft()
-        if u == goal:
-            path: list[tuple[NodeRef, str]] = []
-            cur: Optional[NodeRef] = u
-            while cur is not None:
-                prev, direction = parents[cur]
-                path.append((cur, direction))
-                cur = prev
-            path.reverse()
-            return path
-        steps = [(w, "fwd") for w in uses.get(u, ())]
-        steps += [(w, "rev") for w in target.node(u).inputs]
-        for w, direction in steps:
+        check = u in ends
+        for w, direction in adjacency[u]:
             if w in parents:
                 continue
-            if (u, w) in blocked or (w, u) in blocked:
+            if check and ((u, w) in blocked or (w, u) in blocked):
                 continue
             parents[w] = (u, direction)
+            if w == goal:
+                break
             queue.append(w)
-    return None
+    if goal not in parents:
+        return None
+    path: list[tuple[NodeRef, str]] = []
+    cur: Optional[NodeRef] = goal
+    while cur is not None:
+        prev, direction = parents[cur]
+        path.append((cur, direction))
+        cur = prev
+    path.reverse()
+    return path
 
 
 def _replay(target: Dfg, uses: dict[NodeRef, list[NodeRef]],
@@ -518,6 +579,7 @@ def _replay(target: Dfg, uses: dict[NodeRef, list[NodeRef]],
                 list[NodeRef]]:
     """Walk every simple path from `start` whose edge directions and
     node kinds repeat `signature`; returns one that ends at `goal`."""
+    ends = {n for edge in blocked for n in edge}
 
     def walk(u: NodeRef, depth: int,
              seen: set[NodeRef]) -> Optional[list[NodeRef]]:
@@ -531,7 +593,7 @@ def _replay(target: Dfg, uses: dict[NodeRef, list[NodeRef]],
         for w in options:
             if w in seen:
                 continue
-            if (u, w) in blocked or (w, u) in blocked:
+            if u in ends and ((u, w) in blocked or (w, u) in blocked):
                 continue
             if target.node(w).kind.name != kind_name:
                 continue
@@ -586,15 +648,19 @@ def classify_block_permutation(target: Dfg) -> list[BlockPermReport]:
     computation.
     """
     reports: list[BlockPermReport] = []
-    uses = _consumers(target)
+    uses: dict[NodeRef, list[NodeRef]] = {}
+    adjacency: dict[NodeRef, list[tuple[NodeRef, str]]] = {}
     for anchor, entries in sorted(_offset_loads(target).items()):
         entries = sorted(entries)
         for (k0, v0, a0), (k1, v1, a1), (k2, v2, a2) in \
                 itertools.combinations(entries, 3):
             if k1 - k0 < 16 or k1 - k0 != k2 - k1:
                 continue
+            if not adjacency:
+                uses = _consumers(target)
+                adjacency = _adjacency(target, uses)
             blocked = {(v0, a0), (v1, a1), (v2, a2)}
-            path = _bfs_path(target, uses, v0, v1, blocked)
+            path = _bfs_path(adjacency, v0, v1, blocked)
             if path is None:
                 reports.append(BlockPermReport(
                     anchor, (v0, v1, v2), (k0, k1, k2), [], False))

@@ -135,7 +135,7 @@ class FunctionResult:
     signatures: tuple[SignatureResult, ...] = ()
     block_permutation: tuple[BlockPermRecord, ...] = ()
     elapsed: float = field(default=0.0, compare=False)
-    # live graphs for DOT emission
+    # live graphs, kept only when the analysis is for DOT emission
     dfgs: tuple[Dfg, ...] = field(default=(), compare=False, repr=False)
 
     @property
@@ -251,7 +251,8 @@ def _analyze_function(image: bytes, base: int, entry: int,
         signatures=signatures,
         block_permutation=tuple(records),
         elapsed=time.perf_counter() - start,
-        dfgs=tuple(p.graph for p in paths))
+        dfgs=(tuple(p.graph for p in paths)
+              if config.output_format == "dot" else ()))
 
 
 def analyze_binary(image: bytes, base: int, entries: list[int],
@@ -378,6 +379,10 @@ def _dot_label(node) -> str:
 
 
 def _emit_dot(report: AnalysisReport) -> bytes:
+    if report.config.output_format != "dot":
+        # the analysis kept no graphs to draw
+        raise ValueError("DOT needs an analysis run with "
+                         "output_format='dot'")
     lines = []
     for fn in report.functions:
         if fn.error is not None:

@@ -326,8 +326,11 @@ class _Parser:
 def parse(text: str) -> SignatureDoc:
     identifier: Optional[str] = None
     pending: list[tuple[str, int, list[tuple[int, str]]]] = []
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        code = raw.split("#", 1)[0]
+    # lines end at "\n" (a "\r" before it belongs to the break), so
+    # line numbers are an editor's; any other control character is
+    # part of its line
+    for line_no, raw in enumerate(text.split("\n"), 1):
+        code = raw.removesuffix("\r").split("#", 1)[0]
         stripped = code.strip()
         if not stripped:
             continue
@@ -437,7 +440,9 @@ class SignatureGraph:
 
     Read-only once built: `build_variant` hands the same object to
     every caller, and the matcher keeps its per-signature set-up in
-    ``plan``, which it fills on first use."""
+    ``plan``, which it fills on first use: each node's domain key and
+    number of distinct consumers, and the distinct keys.  Nothing in it
+    depends on a target graph."""
 
     graph: Dfg
     clamp_labels: dict[NodeRef, str] = field(default_factory=dict)

@@ -1,7 +1,8 @@
 """Shared test utilities: randomized sequences of broker requests,
 signature/target pair generators for the matcher-versus-oracle battery,
 the exhaustive matching oracle, a plain reference matcher with
-generators for large targets, the branch-per-operator interval judge
+generators for large targets, the classifier's path search restated,
+the branch-per-operator interval judge
 that `symexec._judge_interval` restates, the rescanning path
 condition that `symexec.PathCondition` keeps indexed, and the
 per-step lifter table that `arm`'s bound lifters replaced.
@@ -310,10 +311,34 @@ def _reference_links(sig: SignatureGraph, target: Dfg, refs: list[int]):
     return links
 
 
-def reference_initial_domains(sig: SignatureGraph, target: Dfg):
+def reference_degree_domains(sig: SignatureGraph, target: Dfg):
+    """The degree conjunct, as bitsets over the target's refs in
+    ascending order per signature node: target node t qualifies for
+    signature node s when t has at least as many distinct consumers as
+    s.
+
+    It is not a conjunct of the match predicate but follows from it:
+    every signature edge lands on a target edge (`_inputs_ok`), and the
+    mapping is injective, so the distinct consumers of s stand for
+    distinct consumers of t.  Cutting domains by it drops no mapping."""
+    def consumers(graph: Dfg) -> dict[int, int]:
+        return {ref: sum(ref in node.inputs for node in graph.nodes.values())
+                for ref in graph.nodes}
+
+    have = consumers(target)
+    want = consumers(sig.graph)
+    refs = sorted(target.nodes)
+    return {s_ref: sum(1 << i for i, ref in enumerate(refs)
+                       if have[ref] >= want[s_ref])
+            for s_ref in sorted(sig.graph.nodes)}
+
+
+def reference_initial_domains(sig: SignatureGraph, target: Dfg,
+                              degree: bool = False):
     """Candidate domains from the tag and arity conjuncts of the
-    predicate alone, as bitsets over the target's refs in ascending
-    order, for every signature node in ascending ref order."""
+    predicate alone, and with `degree` also the degree conjunct
+    (`reference_degree_domains`), as bitsets over the target's refs in
+    ascending order, for every signature node in ascending ref order."""
     refs = sorted(target.nodes)
     dom = {}
     for s_ref in sorted(sig.graph.nodes):
@@ -324,18 +349,23 @@ def reference_initial_domains(sig: SignatureGraph, target: Dfg):
             if _node_tag_ok(s, target.node(ref))
             and (len(target.node(ref).inputs) >= len(s.inputs) if wide
                  else len(target.node(ref).inputs) == len(s.inputs)))
+    if degree:
+        cut = reference_degree_domains(sig, target)
+        dom = {s_ref: d & cut[s_ref] for s_ref, d in dom.items()}
     return dom
 
 
-def reference_domains(sig: SignatureGraph, target: Dfg):
+def reference_domains(sig: SignatureGraph, target: Dfg,
+                      degree: bool = False):
     """Refined candidate domains, as bitsets over the target's refs in
     ascending order, or None when one runs empty.
 
-    Domains start from `reference_initial_domains`.  Refinement sweeps
-    every node until nothing changes: target t stays a candidate while
-    own[t] meets the neighbor's domain on every link."""
+    Domains start from `reference_initial_domains` (with the degree
+    conjunct if `degree`).  Refinement sweeps every node until nothing
+    changes: target t stays a candidate while own[t] meets the
+    neighbor's domain on every link."""
     refs = sorted(target.nodes)
-    dom = reference_initial_domains(sig, target)
+    dom = reference_initial_domains(sig, target, degree)
     links = _reference_links(sig, target, refs)
     changed = True
     while changed:
@@ -401,6 +431,36 @@ def reference_match(sig: SignatureGraph, target: Dfg,
 
     step(dom)
     return out
+
+
+def reference_bfs_path(target: Dfg, uses: dict[int, list[int]],
+                       start: int, goal: int,
+                       blocked: set[tuple[int, int]]):
+    """The classifier's shortest-path search restated plainly: a
+    breadth-first search that steps to a node's consumers ('fwd', in
+    `uses` order) and then to its operands ('rev'), skips an edge in
+    `blocked` in either orientation, and returns the parent chain to
+    `goal` as [(node, direction-of-arrival)] when it pops the goal, or
+    None when the goal is out of reach."""
+    parents = {start: (None, "")}
+    queue = [start]
+    for u in queue:
+        if u == goal:
+            path = []
+            cur = u
+            while cur is not None:
+                prev, direction = parents[cur]
+                path.append((cur, direction))
+                cur = prev
+            return path[::-1]
+        steps = [(w, "fwd") for w in uses.get(u, ())]
+        steps += [(w, "rev") for w in target.node(u).inputs]
+        for w, direction in steps:
+            if w in parents or (u, w) in blocked or (w, u) in blocked:
+                continue
+            parents[w] = (u, direction)
+            queue.append(w)
+    return None
 
 
 def _embed(g: Dfg, rng: random.Random, sig: SignatureGraph,

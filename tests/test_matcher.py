@@ -14,13 +14,16 @@ import pytest
 
 from helpers import (SizeLimitError, brute_force_match, chain_signature,
                      copies_target, random_signature, random_target,
-                     reference_domains, reference_initial_domains,
-                     reference_match)
+                     reference_bfs_path, reference_domains,
+                     reference_initial_domains, reference_match)
 from wherescrypto.asm import assemble
 from wherescrypto.dfg import COMMUTATIVE, Dfg, NodeKind
 from wherescrypto.matcher import (
     BlockPermReport,
     TargetIndex,
+    _adjacency,
+    _bfs_path,
+    _consumers,
     _initial_candidates,
     _links,
     _refine,
@@ -28,6 +31,7 @@ from wherescrypto.matcher import (
     match_signature,
 )
 from wherescrypto.sigdsl import SignatureGraph, build_variant, parse
+from wherescrypto.siglib import load_builtin
 from wherescrypto.symexec import Config, Status, explore
 
 SHIFT_REGISTER = """\
@@ -282,7 +286,8 @@ def test_matcher_agrees_with_reference_on_large_targets():
             dense += 1
         if cands and not _refine(_links(sig, index), cands):
             cands = None
-        assert cands == reference_domains(sig, target), f"case {case}"
+        assert cands == reference_domains(sig, target, degree=True), \
+            f"case {case}"
         if len(want) == 64:
             limited += 1
     assert dense >= 15
@@ -326,9 +331,40 @@ def test_index_without_candidates_builds_no_tables():
     assert index._tables == {}
 
 
+def test_degree_cut_fails_before_any_table_is_built():
+    # every Feistel depth wants a `right` with two distinct consumers
+    # (the final XOR and the first OPAQUE of its chain); in this target
+    # every node has at most one, so each depth is refused after its
+    # tag and arity domains, all non-empty, are cut by degree
+    target = Dfg()
+    h = target.request_input("L")
+    for r in range(6):
+        f = op(target, NodeKind.ADD, target.request_input(f"R{r}"),
+               target.request_input(f"K{r}"))
+        h = op(target, NodeKind.ROTATE, op(target, NodeKind.XOR, h, f),
+               target.request_constant(r + 1))
+    target.purge([h])
+    assert max(sum(ref in n.inputs for n in target.nodes.values())
+               for ref in target.nodes) == 1
+    index = TargetIndex(target)
+    variants = load_builtin("feistel").variants
+    assert len(variants) == 8
+    for variant in variants:
+        sig = build_variant(variant)
+        shared = [ref for ref in sig.graph.nodes
+                  if sum(ref in n.inputs
+                         for n in sig.graph.nodes.values()) == 2]
+        assert [sig.graph.node(ref).kind for ref in shared] == \
+            [NodeKind.OPAQUE]
+        assert all(reference_initial_domains(sig, target).values())
+        assert match_signature(sig, target, index=index) == []
+    assert index._tables == {}
+
+
 def test_signature_setup_carries_nothing_between_targets():
-    # the per-signature set-up is made on the first target and reused
-    # for every later one; each target must still get its own domains
+    # the per-signature set-up, consumer counts included, is made on
+    # the first target and reused for every later one; each target
+    # must still get its own domains
     rng = random.Random(0)
     sig = random_signature(rng)
     while len(sig.graph.nodes) < 5:
@@ -336,13 +372,14 @@ def test_signature_setup_carries_nothing_between_targets():
     other = random_signature(rng)
     outcomes = Counter()
     plan = None
-    for case in range(40):
+    for case in range(80):
         # every fourth target holds copies of another signature, so
         # some of them leave a domain empty before refinement
         target = copies_target(rng, other if case % 4 == 0 else sig,
                                rng.randint(200, 500))
         index = TargetIndex(target)
-        initial = reference_initial_domains(sig, target)
+        tags = reference_initial_domains(sig, target)
+        initial = reference_initial_domains(sig, target, degree=True)
         want = initial if all(initial.values()) else None
         cands = _initial_candidates(sig, index)
         assert cands == want, f"case {case}"
@@ -350,17 +387,20 @@ def test_signature_setup_carries_nothing_between_targets():
             assert list(cands) == list(sig.graph.nodes), f"case {case}"
             if not _refine(_links(sig, index), cands):
                 cands = None
-        assert cands == reference_domains(sig, target), f"case {case}"
+        assert cands == reference_domains(sig, target, degree=True), \
+            f"case {case}"
         mappings = match_signature(sig, target, 64, index=index)
         assert [m.assignment for m in mappings] == \
             [m.assignment for m in reference_match(sig, target, 64)], \
             f"case {case}"
         plan = plan or sig.plan
         assert sig.plan is plan
-        outcomes["no initial" if want is None else
+        outcomes["no initial" if not all(tags.values()) else
+                 "cut by degree" if want is None else
                  "refined away" if cands is None else
                  "matched" if mappings else "no mapping"] += 1
     assert outcomes["no initial"] >= 5
+    assert outcomes["cut by degree"] >= 2
     assert outcomes["refined away"] >= 3
     assert outcomes["matched"] >= 20
 
@@ -521,6 +561,44 @@ def test_block_permutation_report_shape():
     directions = [d for d, _ in report.path_signature]
     assert directions[-1] == "rev"          # arrives at a load
     assert report.path_signature[-1][1] == "LOAD"
+
+
+def test_bfs_path_agrees_with_the_search_that_pops_its_goal():
+    # stopping when the goal is discovered and testing `blocked` only
+    # at blocked endpoints must give the parent chain of a search that
+    # stops when it pops the goal and tests every edge; half the goals
+    # are a blocked endpoint or one of its neighbors
+    rng = random.Random(20261019)
+    outcomes = Counter()
+    for case in range(150):
+        sig = random_signature(rng)
+        target = (random_target(rng, sig) if case % 2 else
+                  copies_target(rng, sig, rng.randint(30, 120)))
+        refs = sorted(target.nodes)
+        edges = [(c, a) for c in refs for a in target.node(c).inputs]
+        if not edges:
+            continue
+        blocked = {rng.choice(edges) for _ in range(3)}
+        ends = sorted({n for edge in blocked for n in edge})
+        uses = _consumers(target)
+        adjacency = _adjacency(target, uses)
+        for _ in range(12):
+            start = rng.choice(ends + refs)
+            if rng.random() < 0.5:
+                near = rng.choice(ends)
+                goal = rng.choice([near] + [w for w, _ in adjacency[near]])
+            else:
+                goal = rng.choice(refs)
+            want = reference_bfs_path(target, uses, start, goal, blocked)
+            assert _bfs_path(adjacency, start, goal, blocked) == want, \
+                f"case {case}: {start} -> {goal}, blocked {blocked}"
+            outcomes["none" if want is None else
+                     "around" if len(want) > 2 and any(
+                         (start, goal) in (e, e[::-1]) for e in blocked)
+                     else "path"] += 1
+    assert outcomes["none"] >= 400
+    assert outcomes["path"] >= 500
+    assert outcomes["around"] >= 20
 
 
 def test_block_permutation_takes_first_consumer_on_ties():

@@ -1,5 +1,6 @@
 """Batch orchestration and report emission."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -223,11 +224,16 @@ def test_matched_is_disjunction_of_graph_hits(lfsr_image):
             assert sig.matched == any(sig.graph_hits)
 
 
+# both sides of the branch run the LFSR, on r0 or on r1
+LFSR_BRANCHES = ("entry:\n    cmp r1, #0\n    beq plain\n"
+                 "    mov r0, r1\nplain:\n") + LFSR_INLINE.split("\n", 1)[1]
+
+
 def test_exemplar_comes_from_the_first_hitting_graph(nlfsr_corpus):
-    # both sides of the branch run the LFSR, on r0 or on r1
-    text = ("entry:\n    cmp r1, #0\n    beq plain\n"
-            "    mov r0, r1\nplain:\n") + LFSR_INLINE.split("\n", 1)[1]
-    rep = analyze_binary(assemble(text), 0, [0], corpus=nlfsr_corpus)
+    # a DOT analysis keeps the graphs the exemplar was found in
+    rep = analyze_binary(assemble(LFSR_BRANCHES), 0, [0],
+                         AnalysisConfig(output_format="dot"),
+                         corpus=nlfsr_corpus)
     (fn,) = rep.functions
     (sig,) = fn.signatures
     assert fn.statuses == ("COMPLETE", "COMPLETE")
@@ -405,9 +411,28 @@ def test_text_summary(lfsr_image, nlfsr_corpus):
     assert "totals:" in text
 
 
+def test_only_a_dot_analysis_keeps_graphs(nlfsr_corpus):
+    # a JSON or text analysis keeps no graph and cannot be drawn; the
+    # DOT of a DOT analysis is pinned by its hash (both graphs, the
+    # exemplar's nodes filled)
+    image = assemble(LFSR_BRANCHES)
+    for fmt in ("json", "text"):
+        rep = analyze_binary(image, 0, [0], AnalysisConfig(output_format=fmt),
+                             corpus=nlfsr_corpus)
+        assert [fn.dfgs for fn in rep.functions] == [()]
+        with pytest.raises(ValueError):
+            emit_report(rep, "dot")
+    rep = analyze_binary(image, 0, [0], AnalysisConfig(output_format="dot"),
+                         corpus=nlfsr_corpus)
+    assert [len(fn.dfgs) for fn in rep.functions] == [2]
+    assert hashlib.sha256(emit_report(rep, "dot")).hexdigest() == \
+        "d6a410aad92dd37cbfe98f2a9a530c0e3bdc4cd1953940970e7df324e8a4bdba"
+
+
 def test_dot_counts_nodes_and_edges():
     image = assemble("and r0, r0, #255\nbx lr\n")
-    rep = analyze_binary(image, 0, [0], corpus={})
+    rep = analyze_binary(image, 0, [0], AnalysisConfig(output_format="dot"),
+                         corpus={})
     dot = emit_report(rep, "dot").decode()
     assert dot.count("digraph") == 1
     node_lines = re.findall(r"^  n\d+ \[", dot, flags=re.M)
@@ -419,7 +444,9 @@ def test_dot_counts_nodes_and_edges():
 
 
 def test_dot_annotates_matched_nodes(lfsr_image, nlfsr_corpus):
-    rep = analyze_binary(lfsr_image, 0, [0], corpus=nlfsr_corpus)
+    rep = analyze_binary(lfsr_image, 0, [0],
+                         AnalysisConfig(output_format="dot"),
+                         corpus=nlfsr_corpus)
     dot = emit_report(rep, "dot").decode()
     assert 'match="nlfsr/C"' in dot
     assert "fillcolor" in dot

@@ -221,6 +221,20 @@ def test_parse_error_stray_character():
     assert err.column == 6
 
 
+def test_parse_lines_end_only_at_newline():
+    # a form feed in a comment or a CRLF break does not add a line, and
+    # any other control character in code is a stray character of its
+    # own line; the end-of-file errors count the same lines
+    err = _err("IDENTIFIER t\nVARIANT a\n# page\x0c\nx: y;\n")
+    assert (err.line, err.column) == (4, 4)
+    err = _err("IDENTIFIER t\r\nVARIANT a\r\nx: 1;\r\ny: z;\r\n")
+    assert (err.line, err.column) == (4, 4)
+    err = _err("IDENTIFIER t\nVARIANT a\nx: 1;\x0by: 2;\u2028\nz: q;")
+    assert (err.line, err.column, err.found) == (3, 6, repr("\x0b"))
+    assert _err("IDENTIFIER t\x0c\x0c").line == 1
+    assert _err("IDENTIFIER t\x0c\n\x0c").line == 2
+
+
 def test_parse_error_oversized_literal():
     _err("IDENTIFIER t\nVARIANT a\nx: 0x100000000;")
 
