@@ -1,5 +1,6 @@
-"""Shared test utilities: randomized sequences of broker requests,
-signature/target pair generators for the matcher-versus-oracle battery,
+"""Shared test utilities: randomized sequences of broker requests, a
+form of a graph that ignores node numbering, signature/target pair
+generators for the matcher-versus-oracle battery,
 the exhaustive matching oracle, a plain reference matcher with
 generators for large targets, the classifier's path search restated,
 the branch-per-operator interval judge
@@ -117,6 +118,68 @@ def drive_spec_sequence(seed: int, count: int) -> Dfg:
         pool.append(ref)
     g.check_consing_invariants()
     return g
+
+
+# ----------------------------------------------------------------------
+# a form of a graph that ignores node numbering
+
+
+def canonical_form(graph: Dfg,
+                   roots: Optional[list[int]] = None
+                   ) -> tuple[str, dict[int, int]]:
+    """The nodes of ``graph`` (or only the ancestors of ``roots``,
+    roots included) renumbered without regard to their refs, as text
+    in the manner of `Dfg.serialize`, with the map from ref to
+    canonical id.
+
+    Nodes are ordered by depth level (a node without inputs is on level
+    0, any other one level above its deepest input), then by kind,
+    payload and the canonical ids of their inputs, which are sorted for
+    a commutative kind.  Hash-consing gives every live node its own
+    (kind, inputs, payload), so no two nodes of a level tie and two
+    graphs that differ only in their numbering have the same form."""
+    nodes = graph.nodes
+    refs = sorted(nodes)
+    if roots is not None:
+        keep: set[int] = set()
+        stack = list(roots)
+        while stack:
+            ref = stack.pop()
+            if ref not in keep:
+                keep.add(ref)
+                stack.extend(nodes[ref].inputs)
+        refs = [ref for ref in refs if ref in keep]
+    # creation order is topological, so every input has its level
+    level: dict[int, int] = {}
+    levels: list[list[int]] = []
+    for ref in refs:
+        depth = 1 + max((level[i] for i in nodes[ref].inputs), default=-1)
+        level[ref] = depth
+        if depth == len(levels):
+            levels.append([])
+        levels[depth].append(ref)
+    canon: dict[int, int] = {}
+    lines = []
+    for same_level in levels:
+        keyed = []
+        for ref in same_level:
+            node = nodes[ref]
+            inputs = [canon[i] for i in node.inputs]
+            if node.kind in COMMUTATIVE:
+                inputs.sort()
+            payload = " ".join(
+                f"{name}={value!r}" for name, value in (
+                    ("const", node.const_value), ("symbol", node.symbol),
+                    ("clamp", node.clamp), ("serial", node.serial))
+                if value is not None)
+            keyed.append(((node.kind.value, payload, tuple(inputs)), ref))
+        keyed.sort()
+        for (kind, payload, inputs), ref in keyed:
+            canon[ref] = len(canon)
+            args = ", ".join(map(str, inputs))
+            lines.append(f"{canon[ref]}: {kind}({args}) [{payload}]")
+        assert len({key for key, _ in keyed}) == len(keyed), "tied nodes"
+    return "\n".join(lines), canon
 
 
 # ----------------------------------------------------------------------
