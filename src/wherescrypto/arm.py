@@ -11,6 +11,7 @@ holds one binder for every mnemonic ``decode`` emits, and the binder
 resolves what depends on the instruction alone (register names,
 immediates, shift kind, node kinds, the S bit, writes to PC) into a
 ``lift(state)`` closure that translates the instruction body into
+values: work on constants alone is done on ints, and the rest becomes
 graph-broker requests.  ``execute`` runs it.  A conditional
 instruction's guard comes from ``condition_info``; the engine decides
 it and runs ``execute`` only on the side where it holds.  The state
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Union
 
-from .dfg import MASK32, NodeKind, NodeRef
+from .dfg import FOLD, MASK32, NodeKind, NodeRef
 
 COND_NAMES = ("EQ", "NE", "CS", "CC", "MI", "PL", "VS", "VC",
               "HI", "LS", "GE", "LT", "GT", "LE", "AL")
@@ -327,8 +328,16 @@ _RETURN = StepOutcome(OutcomeKind.RETURN)
 # Enum members read once (see `NodeKind.__hash__`): the lifters below
 # run at every step
 _JUMP = OutcomeKind.JUMP
+_CONST = NodeKind.CONST
 _ADD, _AND, _XOR = NodeKind.ADD, NodeKind.AND, NodeKind.XOR
 _SUB, _ROTATE = NodeKind.SUB, NodeKind.ROTATE
+
+# A register, a side of the flag source and a lifted operand hold a
+# value in the sense of `Dfg.is_const`: a NodeRef, or ``~c`` for a
+# constant c that the graph need not hold.  Work on constants alone
+# runs on ints (`dfg.FOLD`); a constant gets its node only when an
+# operation on a node, a store or the engine needs one.
+_ZERO = ~0
 
 
 # condition code → (comparison operator, taken when the tuple is ...,
@@ -346,11 +355,12 @@ _COND_TABLE = {
 
 def condition_info(state, cond: str):
     """Condition tuple for a condition code, from the most recent
-    flag-setting instruction on this path."""
+    flag-setting instruction on this path.  Its sides are values, so a
+    constant side may have no node."""
     op, expect, approx = _COND_TABLE[cond]
     if state.flag_source is None:
         v1 = state.graph.request_input("cpsr0")
-        v2 = state.graph.request_constant(0)
+        v2 = _ZERO
     else:
         v1, v2 = state.flag_source
     if approx:
@@ -359,7 +369,7 @@ def condition_info(state, cond: str):
     return (v1, op, v2), expect
 
 
-def _pc_write(state, value: NodeRef, address: int) -> StepOutcome:
+def _pc_write(state, value, address: int) -> StepOutcome:
     if value == state.initial_lr:
         return _RETURN
     g = state.graph
@@ -368,8 +378,38 @@ def _pc_write(state, value: NodeRef, address: int) -> StepOutcome:
     raise UnsupportedPcWrite(address)
 
 
-def _not(g, value: NodeRef) -> NodeRef:
-    return g.request_operation(_XOR, (value, g.request_constant(MASK32)))
+def _as_value(g, ref: NodeRef):
+    """A broker result as a value: ``~c`` when it is the CONST node of
+    c, so that work on it stays on ints."""
+    node = g.nodes[ref]
+    return ~node.const_value if node.kind is _CONST else ref
+
+
+def _operation(kind: NodeKind):
+    """op(g, a, b) -> the value of ``kind(a, b)``: computed with
+    `dfg.FOLD` when both are constants, else requested from the broker
+    with a node for each operand."""
+    fold = FOLD[kind]
+
+    def op(g, a, b):
+        if a < 0:
+            if b < 0:
+                return ~fold(~a, ~b)
+            a = g.request_constant(~a)
+        elif b < 0:
+            b = g.request_constant(~b)
+        return _as_value(g, g.request_operation(kind, (a, b)))
+    return op
+
+
+_OPERATE = {kind: _operation(kind) for kind in FOLD}
+_OP_ADD, _OP_AND, _OP_XOR = _OPERATE[_ADD], _OPERATE[_AND], _OPERATE[_XOR]
+_OP_SUB, _OP_ROTATE = _OPERATE[_SUB], _OPERATE[_ROTATE]
+_ALL_ONES, _LOW_BYTE = ~MASK32, ~0xFF
+
+
+def _not(g, value):
+    return _OP_XOR(g, value, _ALL_ONES)
 
 
 def _in_image(state, address: int, length: int) -> bool:
@@ -379,18 +419,23 @@ def _in_image(state, address: int, length: int) -> bool:
     return 0 <= off and off + length <= len(state.image)
 
 
-def _load_value(state, addr: NodeRef, byte: bool) -> NodeRef:
+def _load_value(state, addr, byte: bool):
+    """What a word or byte load from the value ``addr`` reads: the
+    image's bytes at a constant address inside it at which this path
+    stored nothing, else the broker's load (a forwarded store or a
+    LOAD node), masked to its low byte for a byte load."""
     g = state.graph
-    if addr not in g.store_map and g.is_const(addr):
+    if g.is_const(addr):
         address = g.const_value(addr)
-        if byte and _in_image(state, address, 1):
-            return g.request_constant(state.image[address - state.base])
-        if not byte and _in_image(state, address, 4):
-            return g.request_constant(
-                fetch_word(state.image, address, state.base))
-    value = g.request_load(addr)
+        if g.find_constant(address) not in g.store_map:
+            if byte and _in_image(state, address, 1):
+                return ~state.image[address - state.base]
+            if not byte and _in_image(state, address, 4):
+                return ~fetch_word(state.image, address, state.base)
+        addr = g.request_constant(address)
+    value = _as_value(g, g.request_load(addr))
     if byte:
-        value = g.request_operation(_AND, (value, g.request_constant(0xFF)))
+        value = _OP_AND(g, value, _LOW_BYTE)
     return value
 
 
@@ -399,10 +444,7 @@ def _load_value(state, addr: NodeRef, byte: bool) -> NodeRef:
 #
 # A binder runs once per decoded instruction and resolves everything
 # that depends on the instruction alone; the lifter it returns only
-# reads and writes the state.  Node numbering follows the order of
-# broker requests (the graph pins and the lift golden hold it), so
-# each lifter requests its nodes in a fixed order: the first operand,
-# then the second, then the operation.
+# reads and writes the state.
 
 
 def _register_reader(name: str):
@@ -410,7 +452,7 @@ def _register_reader(name: str):
 
 
 def _register_writer(name: str):
-    def write(state, value: NodeRef) -> StepOutcome:
+    def write(state, value) -> StepOutcome:
         state.regs[name] = value
         return _FALLTHROUGH
     return write
@@ -422,73 +464,80 @@ _READERS = tuple(_register_reader(name) for name in REG_NAMES[:15])
 _WRITERS = tuple(_register_writer(name) for name in REG_NAMES[:15])
 
 
+def _bind_const(value: int):
+    constant = ~(value & MASK32)
+    return lambda state: constant
+
+
 def _bind_reg(index: int, ins: Instruction):
-    """read(state) -> NodeRef of a register; PC reads as the constant
-    address of the instruction plus 8."""
+    """read(state) -> the value of a register; PC reads as the
+    constant address of the instruction plus 8."""
     if index == 15:
-        pc = ins.address + 8
-        return lambda state: state.graph.request_constant(pc)
+        return _bind_const(ins.address + 8)
     return _READERS[index]
 
 
-def _bind_const(value: int):
-    return lambda state: state.graph.request_constant(value)
+# shift kind → (operation, approximated?); right rotation by c is
+# canonical left rotation by 32 - c
+_SHIFTS = {"LSL": (NodeKind.SHL, False), "LSR": (NodeKind.SHR, False),
+           "ASR": (NodeKind.SHR, True), "ROR": (_ROTATE, False)}
 
 
-def _bind_shift(kind: str, read_value, read_amount,
-                amount: Optional[int] = None):
-    """read(state) -> NodeRef of ``kind`` (LSL, LSR, ASR or ROR) applied
-    to what ``read_value`` reads, by what ``read_amount`` reads;
-    ``amount`` is that amount when it is an immediate."""
+def _bind_shift(kind: str, read_value, amount: int):
+    """read(state) -> the value of ``kind`` (LSL, LSR, ASR or ROR)
+    applied to what ``read_value`` reads, by the immediate ``amount``;
+    by 0 it is the value itself."""
+    if amount == 0:
+        return read_value
+    operation, approx = _SHIFTS[kind]
+    op = _OPERATE[operation]
+    by = ~((32 - amount) % 32 if kind == "ROR" else amount)
+    if not approx:
+        return lambda state: op(state.graph, read_value(state), by)
+
+    def shift_approx(state):
+        state.approx.add("ASR lifted as logical shift right")
+        return op(state.graph, read_value(state), by)
+    return shift_approx
+
+
+def _bind_shift_by_reg(kind: str, read_value, read_amount):
+    """read(state) -> the value of ``kind`` applied to what
+    ``read_value`` reads, by what ``read_amount`` reads."""
+    operation, approx = _SHIFTS[kind]
+    op = _OPERATE[operation]
     if kind == "ROR":
-        # right rotation by c is canonical left rotation by 32 - c
-        if amount is not None:
-            left = (32 - amount) % 32
-
-            def rotate_by_imm(state):
-                value = read_value(state)
-                read_amount(state)   # requested, as every shift amount is
-                g = state.graph
-                return g.request_operation(
-                    _ROTATE, (value, g.request_constant(left)))
-            return rotate_by_imm
-
         def rotate(state):
             value = read_value(state)
             by = read_amount(state)
             g = state.graph
             if g.is_const(by):
-                left = g.request_constant((32 - g.const_value(by)) % 32)
+                left = ~((32 - g.const_value(by)) % 32)
             else:
-                left = g.request_operation(
-                    _SUB, (g.request_constant(32), by))
-            return g.request_operation(_ROTATE, (value, left))
+                left = _OP_SUB(g, ~32, by)
+            return op(g, value, left)
         return rotate
-
-    op = NodeKind.SHL if kind == "LSL" else NodeKind.SHR
-    approx = kind == "ASR"
 
     def shift(state):
         value = read_value(state)
         by = read_amount(state)
         if approx:
             state.approx.add("ASR lifted as logical shift right")
-        return state.graph.request_operation(op, (value, by))
+        return op(state.graph, value, by)
     return shift
 
 
 def _bind_operand(op: Operand, ins: Instruction):
-    """read(state) -> NodeRef of a shifter or offset operand."""
+    """read(state) -> the value of a shifter or offset operand."""
     if isinstance(op, Imm):
         return _bind_const(op.value)
     if isinstance(op, Reg):
         return _bind_reg(op.index, ins)
     read_value = _bind_reg(op.reg, ins)
     if op.amount_reg is not None:
-        return _bind_shift(op.kind, read_value,
-                           _bind_reg(op.amount_reg, ins))
-    return _bind_shift(op.kind, read_value, _bind_const(op.amount),
-                       op.amount)
+        return _bind_shift_by_reg(op.kind, read_value,
+                                  _bind_reg(op.amount_reg, ins))
+    return _bind_shift(op.kind, read_value, op.amount)
 
 
 def _bind_write(ins: Instruction, index: int, set_flags: bool):
@@ -507,7 +556,7 @@ def _bind_write(ins: Instruction, index: int, set_flags: bool):
         return write
 
     def write_with_flags(state, value):
-        state.flag_source = (value, state.graph.request_constant(0))
+        state.flag_source = (value, _ZERO)
         return write(state, value)
     return write_with_flags
 
@@ -561,14 +610,12 @@ def _bind_cmp(ins: Instruction):
 def _bind_flag_test(ins: Instruction):
     """CMN and TST: flags from comparing ``kind(Rn, Op2)`` with zero."""
     rn, op2 = ins.operands
-    kind = NodeKind.ADD if ins.mnemonic == "CMN" else NodeKind.AND
+    op = _OP_ADD if ins.mnemonic == "CMN" else _OP_AND
     read_a, read_b = _bind_reg(rn.index, ins), _bind_operand(op2, ins)
 
     def lift(state):
-        g = state.graph
         a = read_a(state)
-        result = g.request_operation(kind, (a, read_b(state)))
-        state.flag_source = (result, g.request_constant(0))
+        state.flag_source = (op(state.graph, a, read_b(state)), _ZERO)
         return _FALLTHROUGH
     return lift
 
@@ -588,6 +635,7 @@ def _bind_alu(ins: Instruction):
     operands, as CMP does; ADC is lifted as ADD and says so."""
     rd, rn, op2 = ins.operands
     kind, swap, invert = _ALU[ins.mnemonic]
+    op = _OPERATE[kind]
     read_a, read_b = _bind_reg(rn.index, ins), _bind_operand(op2, ins)
     compare = ins.set_flags and kind is NodeKind.SUB
     write = _bind_write(ins, rd.index, ins.set_flags and not compare)
@@ -603,7 +651,7 @@ def _bind_alu(ins: Instruction):
             a, b = b, a
         if invert:
             b = _not(g, b)
-        result = g.request_operation(kind, (a, b))
+        result = op(g, a, b)
         if compare:
             state.flag_source = (a, b)
         return write(state, result)
@@ -616,13 +664,13 @@ def _bind_mul(ins: Instruction):
     read_acc = (_bind_reg(ins.operands[3].index, ins)
                 if ins.mnemonic == "MLA" else None)
     write = _bind_write(ins, rd.index, ins.set_flags)
-    mult = NodeKind.MULT
+    mult = _OPERATE[NodeKind.MULT]
 
     def lift(state):
         g = state.graph
-        result = g.request_operation(mult, (read_m(state), read_s(state)))
+        result = mult(g, read_m(state), read_s(state))
         if read_acc is not None:
-            result = g.request_operation(_ADD, (result, read_acc(state)))
+            result = _OP_ADD(g, result, read_acc(state))
         return write(state, result)
     return lift
 
@@ -635,7 +683,7 @@ def _bind_mem(ins: Instruction):
     read_base = _bind_reg(mem.base, ins)
     read_offset = (None if mem.offset is None
                    else _bind_operand(mem.offset, ins))
-    index_kind = NodeKind.ADD if mem.add else NodeKind.SUB
+    index = _OP_ADD if mem.add else _OP_SUB
     pre = mem.pre
     writeback = mem.writeback
     pc_writeback = writeback and mem.base == 15
@@ -652,11 +700,11 @@ def _bind_mem(ins: Instruction):
         if read_offset is None:
             indexed = base
         else:
-            indexed = g.request_operation(index_kind,
-                                          (base, read_offset(state)))
+            indexed = index(g, base, read_offset(state))
         addr = indexed if pre else base
         if not load:
-            g.record_store(addr, read_rd(state))
+            g.record_store(g.materialize(addr),
+                           g.materialize(read_rd(state)))
         if writeback:
             if pc_writeback:
                 raise UnsupportedPcWrite(address)
@@ -673,15 +721,16 @@ def _bind_block(ins: Instruction):
     load = ins.mnemonic in ("LDM", "POP")
     n = len(rl.regs)
     first = {"IA": 0, "IB": 4, "DA": -4 * (n - 1), "DB": -4 * n}[rl.mode]
-    # (offset from the base, register name or the reader of a stored
-    # register); PC loads into the step's outcome, not a register
-    slots = [(first + 4 * i,
+    # (offset from the base as a value, or None for the base itself;
+    # register name or the reader of a stored register); PC loads into
+    # the step's outcome, not a register
+    slots = [((~(delta & MASK32) if delta else None),
               (None if r == 15 else REG_NAMES[r]) if load
               else _bind_reg(r, ins))
-             for i, r in enumerate(rl.regs)]
+             for delta, r in zip(range(first, first + 4 * n, 4), rl.regs)]
     read_base = _bind_reg(rl.base, ins)
     base_name = REG_NAMES[rl.base] if rl.writeback else None
-    total = 4 * n if rl.mode in ("IA", "IB") else -4 * n
+    total = ~((4 * n if rl.mode in ("IA", "IB") else -4 * n) & MASK32)
     address = ins.address
 
     def lift(state):
@@ -689,20 +738,16 @@ def _bind_block(ins: Instruction):
         base = read_base(state)
         pc_value = None
         for delta, reg in slots:
-            if delta:
-                addr = g.request_operation(
-                    _ADD, (base, g.request_constant(delta)))
-            else:
-                addr = base
+            addr = base if delta is None else _OP_ADD(g, base, delta)
             if not load:
-                g.record_store(addr, reg(state))
+                g.record_store(g.materialize(addr),
+                               g.materialize(reg(state)))
             elif reg is None:
                 pc_value = _load_value(state, addr, False)
             else:
                 state.regs[reg] = _load_value(state, addr, False)
         if base_name is not None:
-            state.regs[base_name] = g.request_operation(
-                _ADD, (base, g.request_constant(total)))
+            state.regs[base_name] = _OP_ADD(g, base, total)
         if pc_value is not None:
             return _pc_write(state, pc_value, address)
         return _FALLTHROUGH

@@ -92,19 +92,27 @@ _ZERO = {
     NodeKind.AND: 0,
 }
 
-#: Integer meaning of each operation on 32-bit values, before the result
-#: is reduced mod 2^32.  Shift and rotate amounts are taken in normal
-#: form (`Dfg._shift_amount`).  SUB folds as an ADD of the complement
-#: (rewrite (h)).
-_FOLD = {
-    NodeKind.ADD: operator.add,
-    NodeKind.MULT: operator.mul,
+def _rotate(a: int, b: int) -> int:
+    b &= 31
+    return ((a << b) | (a >> (32 - b))) & MASK32
+
+
+#: The value of each operation on two 32-bit ints, reduced mod 2^32:
+#: the one meaning of every operation on constants.  The broker folds
+#: all-constant requests with it, and the lifter computes constant-only
+#: work with it without a request.  A shift by 32 or more leaves 0, a
+#: rotation is by its amount modulo 32, and SUB is the difference mod
+#: 2^32 that its rewrite (h), an ADD of the complement, gives.
+FOLD = {
+    NodeKind.ADD: lambda a, b: (a + b) & MASK32,
+    NodeKind.MULT: lambda a, b: (a * b) & MASK32,
     NodeKind.XOR: operator.xor,
     NodeKind.AND: operator.and_,
     NodeKind.OR: operator.or_,
-    NodeKind.SHL: lambda a, b: a << b if b < 32 else 0,
+    NodeKind.SUB: lambda a, b: (a - b) & MASK32,
+    NodeKind.SHL: lambda a, b: (a << b) & MASK32 if b < 32 else 0,
     NodeKind.SHR: operator.rshift,
-    NodeKind.ROTATE: lambda a, b: (a << b) | (a >> (32 - b)),
+    NodeKind.ROTATE: _rotate,
 }
 
 
@@ -166,15 +174,33 @@ class Dfg:
         except KeyError:
             raise DeadNodeError(f"node {ref} is not live") from None
 
+    # A lifted value is a NodeRef, or ``~c`` (below 0) for a constant c
+    # that needs no node yet; the lifter keeps constants as ints and
+    # asks for their node only when an operation on a node, a store, a
+    # condition or a root needs one (`materialize`).
+
     def is_const(self, ref: NodeRef) -> bool:
-        return self.node(ref).kind is _CONST
+        """Whether the value ``ref`` is a constant: ``~c`` or a CONST
+        node."""
+        return ref < 0 or self.node(ref).kind is _CONST
 
     def const_value(self, ref: NodeRef) -> int:
+        if ref < 0:
+            return ~ref
         n = self.node(ref)
         if n.kind is not _CONST:
             raise GraphError(f"node {ref} is {n.kind.value}, not CONST")
         assert n.const_value is not None
         return n.const_value
+
+    def materialize(self, value: NodeRef) -> NodeRef:
+        """The node of a value: the CONST node of ``~c``, else the ref."""
+        return self.request_constant(~value) if value < 0 else value
+
+    def find_constant(self, value: int) -> Optional[NodeRef]:
+        """The CONST node of ``value`` if the graph has one; creates
+        none."""
+        return self.cons_table.get((_CONST, (), value, None, None, None))
 
     def _check_live(self, refs: Iterable[NodeRef]) -> None:
         for r in refs:
@@ -274,16 +300,17 @@ class Dfg:
         It requests the same constants as the rewrite rules below, in
         the same order, so node numbering does not depend on which path
         a request takes."""
+        fold = FOLD[kind]
         if kind in COMMUTATIVE:
-            return self.request_constant(reduce(_FOLD[kind], values))
+            return self.request_constant(reduce(fold, values))
         a, b = values
         if kind is _SUB:
             self.request_constant(-b)   # (h) in _build_sub: a + (2^32 - b)
-            return self.request_constant(a - b)
+            return self.request_constant(fold(a, b))
         _, b = self._shift_amount(kind, inputs[1], b)
         if b == 0:
             return inputs[0]
-        return self.request_constant(_FOLD[kind](a, b))
+        return self.request_constant(fold(a, b))
 
     def _build_commutative(self, kind: NodeKind, inputs: tuple[NodeRef, ...]) -> NodeRef:
         # (d) flatten same-kind children into one variadic node
@@ -301,7 +328,7 @@ class Dfg:
         for i in flat:
             n = self.nodes[i]
             if n.kind is _CONST:
-                acc = _FOLD[kind](acc, n.const_value) & MASK32
+                acc = FOLD[kind](acc, n.const_value)
             else:
                 rest.append(i)
         zero = _ZERO.get(kind)

@@ -240,6 +240,8 @@ class ExecState:
         self.path_condition = PathCondition()
         self.backlog: dict[int, list[bool]] = {}
         self.call_stack: list[int] = []
+        # registers and the flag source hold values: a NodeRef, or ~c
+        # for a constant c that may have no node (`Dfg.is_const`)
         self.flag_source: Optional[tuple[NodeRef, NodeRef]] = None
         self.approx: set[str] = set()
         self.flags: set[str] = set()
@@ -287,14 +289,22 @@ class PathResult:
     conditions: list[tuple[str, bool]] = field(default_factory=list)
 
 
-def handle_conditional(state: ExecState, e: int, cond: Condition,
+def handle_conditional(state: ExecState, e: int,
+                       comparison: tuple[NodeRef, str, NodeRef],
                        n: int, live_count: int,
                        fork_cap: int) -> list[tuple[ExecState, bool]]:
     """Algorithm: determined conditions follow the forced value with no
-    backlog entry; underdetermined ones ask the oracle.  Returns up to
-    two (state, tuple-value) pairs; contradictory extensions are
-    dropped."""
-    verdict = state.path_condition.evaluate(state.graph, cond)
+    backlog entry; underdetermined ones ask the oracle.  The sides of
+    ``comparison`` are values (`dfg.Dfg.is_const`): two constants
+    without a node are compared at once, and otherwise each side gets
+    its node for the `Condition`.  Returns up to two (state,
+    tuple-value) pairs; contradictory extensions are dropped."""
+    v1, op, v2 = comparison
+    if v1 < 0 and v2 < 0:
+        return [(state, _COMPARE[op](_to_signed(~v1), _to_signed(~v2)))]
+    g = state.graph
+    cond = Condition(g.materialize(v1), op, g.materialize(v2))
+    verdict = state.path_condition.evaluate(g, cond)
     if verdict is _TRUE:
         return [(state, True)]
     if verdict is _FALSE:
@@ -331,7 +341,7 @@ def purge_roots(graph: Dfg, state_regs: dict[str, NodeRef],
                 sp_input: NodeRef, complete: bool) -> set[NodeRef]:
     roots: set[NodeRef] = set()
     if complete:
-        roots.add(state_regs["R0"])
+        roots.add(graph.materialize(state_regs["R0"]))
     call, store = NodeKind.CALL, NodeKind.STORE
     for ref, node in graph.nodes.items():
         if node.kind is call:
@@ -390,13 +400,11 @@ class Explorer:
         complete = status is Status.COMPLETE
         described = [(render_condition(state.graph, c), pol)
                      for c, pol in state.path_condition.facts.items()]
-        roots = purge_roots(state.graph, state.regs, self._sp_input,
-                            complete)
-        state.graph.purge(roots)
-        return PathResult(state.graph, status, state.backlog, state.approx,
-                          state.flags, state.steps,
-                          state.regs["R0"] if complete else None,
-                          described)
+        g = state.graph
+        result = g.materialize(state.regs["R0"]) if complete else None
+        g.purge(purge_roots(g, state.regs, self._sp_input, complete))
+        return PathResult(g, status, state.backlog, state.approx,
+                          state.flags, state.steps, result, described)
 
     def _run_state(self, state: ExecState, stack: list[ExecState],
                    results: list[PathResult],
@@ -422,9 +430,9 @@ class Explorer:
                     return self._finish(state, Status.ABORTED)
 
             if ins.cond != "AL":
-                (v1, op, v2), expect = arm.condition_info(state, ins.cond)
+                comparison, expect = arm.condition_info(state, ins.cond)
                 pairs = handle_conditional(
-                    state, state.pc, Condition(v1, op, v2), config.n,
+                    state, state.pc, comparison, config.n,
                     live_count=len(stack) + 1, fork_cap=config.fork_cap)
                 if not pairs:
                     return None                       # dead state
@@ -492,20 +500,20 @@ class Explorer:
 
     def _handle_call(self, state: ExecState, target: int,
                      return_address: int) -> None:
-        g = state.graph
         if (len(state.call_stack) < self.config.depth
                 and self._decodable(target)):
             state.call_stack.append(return_address)
-            state.regs["LR"] = g.request_constant(return_address)
+            state.regs["LR"] = ~return_address
             state.pc = target
             return
-        args = tuple(state.regs[r] for r in ("R0", "R1", "R2", "R3",
-                                             "SP"))
+        g = state.graph
+        args = tuple(g.materialize(state.regs[r])
+                     for r in ("R0", "R1", "R2", "R3", "SP"))
         call = g.request_call(args, target)
         state.regs["R0"] = g.request_opaque((call,))
         for r in ("R1", "R2", "R3", "R12"):
             state.regs[r] = g.request_opaque(())
-        state.regs["LR"] = g.request_constant(return_address)
+        state.regs["LR"] = ~return_address
         state.pc = return_address
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_execute
+from helpers import canonical_form, reference_execute
 from wherescrypto import arm, asm
 from wherescrypto.arm import OutcomeKind, UndecodableError, decode_word
 from wherescrypto.asm import AsmError, assemble
@@ -215,7 +215,9 @@ def test_decode_and_lift_contract(word, address):
     state = ExecState.initial(address, image, address)
     if ins.cond != "AL":
         (v1, op, v2), expect = arm.condition_info(state, ins.cond)
-        assert {v1, v2} <= set(state.graph.nodes)
+        for side in (v1, v2):
+            # a live node, or a constant that has no node yet
+            assert side in state.graph.nodes or side < 0
     try:
         outcome = arm.execute(state, ins)
     except arm.UnsupportedPcWrite as err:
@@ -238,27 +240,57 @@ _REG_VALUES = st.booleans().flatmap(lambda inside: (
                    st.integers(MASK32 - 16, MASK32))))
 
 
-def _lift_with(execute, ins, image, values, flags, store):
+def _lift_with(execute, ins, image, values, flags, store, as_ints):
     """Lift ``ins`` with ``execute`` on a state whose registers R0 ...
-    LR hold the constants in ``values`` (None keeps the input), with
-    the flag source ``flags`` (a register pair or None) and, when
-    ``store`` is a register, a store of that register to its own
-    address; returns everything the lift can change."""
+    LR hold the constants in ``values`` (None keeps the input), as ints
+    (``~c``) with ``as_ints`` or else as CONST nodes, with the flag
+    source ``flags`` (a register pair or None) and, when ``store`` is a
+    register, a store of that register to its own address; returns
+    what the lift left, in terms that do not depend on node numbering
+    (`_meaning`)."""
     state = ExecState.initial(ins.address, image, IMAGE_BASE)
     g = state.graph
     for name, value in zip(arm.REG_NAMES, values):
         if value is not None:
-            state.regs[name] = g.request_constant(value)
+            state.regs[name] = (~value if as_ints
+                                else g.request_constant(value))
     if flags is not None:
         state.flag_source = (state.regs[flags[0]], state.regs[flags[1]])
     if store is not None:
-        g.record_store(state.regs[store], state.regs[store])
+        ref = g.materialize(state.regs[store])
+        g.record_store(ref, ref)
     try:
         result = execute(state, ins)
     except Exception as err:                       # compared, not hidden
         result = (type(err), str(err))
-    return (result, g.serialize(), dict(state.regs), state.flag_source,
-            sorted(state.approx), dict(g.store_map))
+    return result, _meaning(state)
+
+
+def _denote(graph, value):
+    """What a value stands for: a constant, or the canonical form of
+    the node and its ancestors."""
+    if graph.is_const(value):
+        return "const", graph.const_value(value)
+    return "node", canonical_form(graph, [value])[0]
+
+
+def _meaning(state) -> dict:
+    """What each register, the flag source and the store map denote,
+    the approximations, and the canonical form of the graph without
+    the constants that nothing consumes (the lifter makes a constant's
+    node only when something needs it)."""
+    g = state.graph
+    return {
+        "regs": {name: _denote(g, value)
+                 for name, value in state.regs.items()},
+        "flag_source": (None if state.flag_source is None
+                        else [_denote(g, v) for v in state.flag_source]),
+        "store_map": sorted((_denote(g, a), _denote(g, v))
+                            for a, v in g.store_map.items()),
+        "approx": sorted(state.approx),
+        "graph": canonical_form(g, [ref for ref, node in g.nodes.items()
+                                    if node.kind is not NodeKind.CONST])[0],
+    }
 
 
 _NAMES = st.sampled_from(arm.REG_NAMES[:15])
@@ -284,44 +316,53 @@ def _consts(**regs: int) -> list:
        fill=st.binary(min_size=4 * IMAGE_WORDS, max_size=4 * IMAGE_WORDS),
        values=st.lists(st.none() | _REG_VALUES, min_size=15, max_size=15),
        flags=st.none() | st.tuples(_NAMES, _NAMES),
-       store=st.none() | _NAMES)
+       store=st.none() | _NAMES, as_ints=st.booleans())
 @example(word=_word("ldrb r0, [r1, #3]"), slot=0, fill=_FILL,
-         values=_consts(R1=IMAGE_BASE), flags=None, store=None)
+         values=_consts(R1=IMAGE_BASE), flags=None, store=None, as_ints=True)
 @example(word=_word("ldrb r2, [r3, r4]"), slot=0, fill=_FILL,
-         values=_consts(R3=IMAGE_BASE, R4=6), flags=None, store=None)
+         values=_consts(R3=IMAGE_BASE, R4=6), flags=None, store=None,
+         as_ints=True)
 @example(word=_word("ldr r0, [r1], #4"), slot=0, fill=_FILL,
-         values=_consts(R1=IMAGE_BASE + 8), flags=None, store=None)
+         values=_consts(R1=IMAGE_BASE + 8), flags=None, store=None,
+         as_ints=True)
 @example(word=_word("ldr r0, [pc, #-4]"), slot=3, fill=_FILL,
-         values=_consts(), flags=None, store=None)
+         values=_consts(), flags=None, store=None, as_ints=True)
 @example(word=_word("ldr r0, [r1]"), slot=0, fill=_FILL,
-         values=_consts(R1=IMAGE_BASE), flags=None, store="R1")
+         values=_consts(R1=IMAGE_BASE), flags=None, store="R1", as_ints=True)
 @example(word=_word("pop {r4, pc}"), slot=0, fill=_FILL,
-         values=_consts(SP=IMAGE_BASE + 16), flags=None, store=None)
+         values=_consts(SP=IMAGE_BASE + 16), flags=None, store=None,
+         as_ints=True)
 @example(word=_word("ldmib r0!, {r1, r2}"), slot=0, fill=_FILL,
-         values=_consts(R0=IMAGE_BASE), flags=None, store=None)
+         values=_consts(R0=IMAGE_BASE), flags=None, store=None, as_ints=True)
 @example(word=_word("ror r0, r1, r2"), slot=0, fill=_FILL,
-         values=_consts(R1=5, R2=40), flags=None, store=None)
+         values=_consts(R1=5, R2=40), flags=None, store=None, as_ints=True)
 @example(word=_word("eor r0, r1, r2, ror #8"), slot=0, fill=_FILL,
-         values=_consts(R1=5, R2=0x80000001), flags=None, store=None)
+         values=_consts(R1=5, R2=0x80000001), flags=None, store=None,
+         as_ints=True)
 @example(word=_word("mov pc, r0"), slot=0, fill=_FILL,
-         values=_consts(R0=IMAGE_BASE), flags=None, store=None)
+         values=_consts(R0=IMAGE_BASE), flags=None, store=None, as_ints=True)
 @example(word=_word("bx r1"), slot=0, fill=_FILL,
-         values=_consts(R1=IMAGE_BASE + 4), flags=None, store=None)
+         values=_consts(R1=IMAGE_BASE + 4), flags=None, store=None,
+         as_ints=True)
 @example(word=_word("subs r0, r1, #1"), slot=0, fill=_FILL,
-         values=_consts(R1=0), flags=("R1", "R2"), store=None)
+         values=_consts(R1=0), flags=("R1", "R2"), store=None, as_ints=True)
 @example(word=_word("rsbs r0, r1, r2"), slot=0, fill=_FILL,
-         values=_consts(R1=3, R2=2), flags=None, store=None)
+         values=_consts(R1=3, R2=2), flags=None, store=None, as_ints=True)
 @example(word=_word("bics r0, r1, #1"), slot=0, fill=_FILL,
-         values=_consts(R1=0x80000000), flags=None, store=None)
+         values=_consts(R1=0x80000000), flags=None, store=None, as_ints=True)
 @example(word=_word("mlas r0, r1, r2, r3"), slot=0, fill=_FILL,
-         values=_consts(R1=7, R2=9, R3=MASK32), flags=None, store=None)
+         values=_consts(R1=7, R2=9, R3=MASK32), flags=None, store=None,
+         as_ints=True)
 def test_bound_lifters_match_the_reference(word, slot, fill, values, flags,
-                                           store):
-    """Each bound lifter requests the same nodes in the same order as
-    the per-step reference lifter, and leaves the same registers, flag
-    source, approximations and store map, or raises the same error,
-    from states that mix constants and inputs, so that the folding
-    paths are checked instruction by instruction."""
+                                           store, as_ints):
+    """Each bound lifter leaves registers, a flag source and a store map
+    that denote what the per-step reference lifter's do (the same
+    constant, or nodes of the same canonical shape), the same
+    approximations and the same graph apart from unused constants, or
+    raises the same error, from states that mix constants and inputs,
+    so that the folding paths are checked instruction by instruction.
+    The reference holds every constant as a CONST node; the bound
+    lifter is given ints or CONST nodes."""
     address = IMAGE_BASE + 4 * slot
     try:
         ins = decode_word(word, address)
@@ -330,9 +371,10 @@ def test_bound_lifters_match_the_reference(word, slot, fill, values, flags,
     image = bytearray(fill)
     image[4 * slot:4 * slot + 4] = word.to_bytes(4, "little")
     image = bytes(image)
-    bound = _lift_with(arm.execute, ins, image, values, flags, store)
+    bound = _lift_with(arm.execute, ins, image, values, flags, store,
+                       as_ints)
     reference = _lift_with(reference_execute, ins, image, values, flags,
-                           store)
+                           store, False)
     assert bound == reference
     outcome = bound[0]
     if getattr(outcome, "kind", None) is OutcomeKind.FALLTHROUGH:

@@ -6,9 +6,10 @@ flag-setting instruction seen and once with a flag source already set.
 The record of each lift (the serialized graph, the registers it
 changed, the flag source, the approximations, the condition tuple of a
 conditional line and the outcome of its body) must equal the one in
-``fixtures/lift_golden.json``.  Node refs are handed out in request
-order, so a lifter that requests the same nodes in another order fails
-here too.
+``fixtures/lift_golden.json``.  A value is recorded as its node ref,
+or as ``const 0x…`` for a constant the lifter kept as an int.  Node
+refs are handed out in request order, so a lifter that requests the
+same nodes in another order fails here too.
 
 After an intended change to lifting, regenerate the fixture with
 ``PYTHONPATH=src python tests/test_lift_golden.py``.
@@ -60,18 +61,21 @@ ldr r0, [pc, #4]!
 EXTRA_ORIGIN = 0x1000
 
 
+def _shown(value: int):
+    return value if value >= 0 else f"const 0x{~value:x}"
+
+
 def lift_record(image: bytes, address: int, base: int,
                 flags_set: bool) -> dict:
     state = ExecState.initial(address, image, base)
     if flags_set:
-        state.flag_source = (state.regs["R9"],
-                             state.graph.request_constant(7))
+        state.flag_source = (state.regs["R9"], ~7)
     initial = dict(state.regs)
     ins = arm.decode(image, address, base)
     record: dict = {}
     if ins.cond != "AL":
         (v1, op, v2), expect = arm.condition_info(state, ins.cond)
-        record["condition"] = [v1, op, v2, expect]
+        record["condition"] = [_shown(v1), op, _shown(v2), expect]
     try:
         outcome = arm.execute(state, ins)
         record["outcome"] = [outcome.kind.name, outcome.target,
@@ -79,10 +83,11 @@ def lift_record(image: bytes, address: int, base: int,
     except arm.UnsupportedPcWrite:
         record["outcome"] = ["UnsupportedPcWrite"]
     record["graph"] = state.graph.serialize().splitlines()
-    record["regs"] = {name: ref for name, ref in state.regs.items()
-                      if ref != initial[name]}
+    record["regs"] = {name: _shown(value)
+                      for name, value in state.regs.items()
+                      if value != initial[name]}
     record["flag_source"] = (None if state.flag_source is None
-                             else list(state.flag_source))
+                             else [_shown(v) for v in state.flag_source])
     record["approx"] = sorted(state.approx)
     return record
 

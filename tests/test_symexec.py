@@ -597,16 +597,16 @@ CALL_CHAIN_GOLDEN = {
         "13: INPUT() [SP]\n"
         "19: CONST() [0x1]\n"
         "20: ADD(0, 19)\n"
-        "22: CONST() [0xfffffff8]\n"
-        "23: ADD(13, 22)\n"
-        "25: CALL(20, 1, 2, 3, 23) [0x28 #0]\n"
+        "21: CONST() [0xfffffff8]\n"
+        "22: ADD(13, 21)\n"
+        "25: CALL(20, 1, 2, 3, 22) [0x28 #0]\n"
         "26: OPAQUE(25) [#1]\n"
         "28: OPAQUE() [#3]\n"
         "29: OPAQUE() [#4]\n"
-        "32: CALL(26, 26, 28, 29, 23) [0x28 #6]\n"
-        "33: OPAQUE(32) [#7]\n"
-        "34: OPAQUE() [#8]\n"
-        "39: ADD(33, 34)"
+        "31: CALL(26, 26, 28, 29, 22) [0x28 #6]\n"
+        "32: OPAQUE(31) [#7]\n"
+        "33: OPAQUE() [#8]\n"
+        "37: ADD(32, 33)"
     )),
     2: (4, (
         "0: INPUT() [R0]\n"
@@ -616,46 +616,46 @@ CALL_CHAIN_GOLDEN = {
         "13: INPUT() [SP]\n"
         "19: CONST() [0x1]\n"
         "20: ADD(0, 19)\n"
-        "26: CONST() [0xfffffff4]\n"
-        "27: ADD(13, 26)\n"
-        "29: CALL(20, 1, 2, 3, 27) [0x3c #0]\n"
+        "25: CONST() [0xfffffff4]\n"
+        "26: ADD(13, 25)\n"
+        "29: CALL(20, 1, 2, 3, 26) [0x3c #0]\n"
         "30: OPAQUE(29) [#1]\n"
         "31: OPAQUE() [#2]\n"
         "32: OPAQUE() [#3]\n"
         "33: OPAQUE() [#4]\n"
-        "36: CONST() [0x55]\n"
-        "37: XOR(30, 36)\n"
-        "38: CALL(37, 31, 32, 33, 27) [0x3c #6]\n"
-        "39: OPAQUE(38) [#7]\n"
-        "41: OPAQUE() [#9]\n"
-        "42: OPAQUE() [#10]\n"
-        "48: CALL(39, 39, 41, 42, 27) [0x3c #12]\n"
-        "49: OPAQUE(48) [#13]\n"
-        "50: OPAQUE() [#14]\n"
-        "51: OPAQUE() [#15]\n"
-        "52: OPAQUE() [#16]\n"
-        "54: XOR(36, 49)\n"
-        "55: CALL(54, 50, 51, 52, 27) [0x3c #18]\n"
-        "56: OPAQUE(55) [#19]\n"
-        "57: OPAQUE() [#20]\n"
-        "61: ADD(56, 57)"
+        "35: CONST() [0x55]\n"
+        "36: XOR(30, 35)\n"
+        "37: CALL(36, 31, 32, 33, 26) [0x3c #6]\n"
+        "38: OPAQUE(37) [#7]\n"
+        "40: OPAQUE() [#9]\n"
+        "41: OPAQUE() [#10]\n"
+        "46: CALL(38, 38, 40, 41, 26) [0x3c #12]\n"
+        "47: OPAQUE(46) [#13]\n"
+        "48: OPAQUE() [#14]\n"
+        "49: OPAQUE() [#15]\n"
+        "50: OPAQUE() [#16]\n"
+        "52: XOR(35, 47)\n"
+        "53: CALL(52, 48, 49, 50, 26) [0x3c #18]\n"
+        "54: OPAQUE(53) [#19]\n"
+        "55: OPAQUE() [#20]\n"
+        "59: ADD(54, 55)"
     )),
     3: (0, (
         "0: INPUT() [R0]\n"
         "19: CONST() [0x1]\n"
         "20: ADD(0, 19)\n"
-        "30: CONST() [0x2]\n"
-        "31: SHL(20, 30)\n"
-        "32: ADD(0, 19, 31)\n"
-        "33: CONST() [0x55]\n"
-        "34: XOR(32, 33)\n"
-        "36: SHL(34, 30)\n"
-        "37: ADD(34, 36)\n"
-        "41: SHL(37, 30)\n"
-        "42: ADD(34, 36, 41)\n"
-        "43: XOR(33, 42)\n"
-        "44: SHL(43, 30)\n"
-        "46: ADD(34, 36, 43, 44)"
+        "29: CONST() [0x2]\n"
+        "30: SHL(20, 29)\n"
+        "31: ADD(0, 19, 30)\n"
+        "32: CONST() [0x55]\n"
+        "33: XOR(31, 32)\n"
+        "34: SHL(33, 29)\n"
+        "35: ADD(33, 34)\n"
+        "39: SHL(35, 29)\n"
+        "40: ADD(33, 34, 39)\n"
+        "41: XOR(32, 40)\n"
+        "42: SHL(41, 29)\n"
+        "44: ADD(33, 34, 41, 42)"
     )),
 }
 
@@ -769,6 +769,43 @@ def test_work_per_conditional_does_not_grow_with_the_path(monkeypatch):
         assert [r.status for r in results] == [Status.COMPLETE] * 2
         assert counts["conditionals"] >= 2 * iterations
         assert counts["oriented"] <= 2 * counts["conditionals"], iterations
+
+
+def constant_count_loop(iterations: int) -> str:
+    """A loop whose counter, accumulator and literal loads are all
+    constants; an even count leaves the accumulator at 0, so the
+    function returns R0 ^ 0x55 for every even count."""
+    return f"""\
+    ldr r2, ={iterations}
+    mov r3, #0
+loop:
+    ldr r5, =0x5a5a5a5a
+    eor r3, r3, r5
+    add r6, r3, r2, lsl #2
+    subs r2, r2, #1
+    bne loop
+    add r3, r3, #0x55
+    eor r0, r0, r3
+    bx lr
+"""
+
+
+def test_constant_work_makes_no_nodes_per_iteration():
+    # constant-only work stays on ints, so 1,000 iterations leave the
+    # same graph as 10 and create no more nodes on the way
+    short, long = (explore(0, assemble(constant_count_loop(count)),
+                           Config(timeout=600))
+                   for count in (10, 1000))
+    (a,), (b,) = short, long
+    assert a.status is b.status is Status.COMPLETE
+    assert b.steps > 90 * a.steps
+    assert a.graph._next_id == b.graph._next_id
+    assert a.graph.serialize() == b.graph.serialize()
+    assert a.result_ref == b.result_ref
+    result = a.graph.node(a.result_ref)
+    assert result.kind is NodeKind.XOR
+    assert {a.graph.node(i).const_value
+            for i in result.inputs} == {None, 0x55}
 
 
 def test_explore_wall_clock_timeout():
