@@ -155,12 +155,17 @@ class _Token(NamedTuple):
     column: int
 
 
+#: The only blanks of the language, between tokens and around the
+#: words of a header line alike; any other character outside a comment
+#: is part of a token or a stray character.
+_BLANKS = " \t"
+_BLANK_RUN = re.compile(f"[{_BLANKS}]+")
+
 _TOKEN_RE = re.compile(r"""
     (?P<number>0[xX][0-9a-fA-F]+|[0-9]+)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op><<|>>|[()<>,:;+])
-  | (?P<space>[ \t]+)
-""", re.VERBOSE)
+  | (?P<space>""" + _BLANK_RUN.pattern + ")", re.VERBOSE)
 
 
 def _literal(text: str, line: int, column: int) -> int:
@@ -331,13 +336,13 @@ def parse(text: str) -> SignatureDoc:
     # part of its line
     for line_no, raw in enumerate(text.split("\n"), 1):
         code = raw.removesuffix("\r").split("#", 1)[0]
-        stripped = code.strip()
+        stripped = code.strip(_BLANKS)
         if not stripped:
             continue
-        parts = stripped.split(None, 1)
+        parts = _BLANK_RUN.split(stripped, 1)
         word = parts[0].upper()
-        rest = parts[1].strip() if len(parts) > 1 else ""
-        column = code.index(code.lstrip()[0]) + 1
+        rest = parts[1] if len(parts) > 1 else ""
+        column = len(code) - len(code.lstrip(_BLANKS)) + 1
         if word == "IDENTIFIER":
             if identifier is not None or pending:
                 raise ParseError(line_no, column,

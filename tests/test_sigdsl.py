@@ -235,6 +235,22 @@ def test_parse_lines_end_only_at_newline():
     assert _err("IDENTIFIER t\x0c\n\x0c").line == 2
 
 
+def test_parse_header_words_split_only_at_blanks():
+    # space and tab are the only blanks, in a header line as between
+    # tokens, so a vertical tab or a no-break space joins the words
+    # around it and a line of them is not blank
+    err = _err("IDENTIFIER\x0bname\nVARIANT a\nx: 1;\n")
+    assert (err.line, err.column, err.found) == \
+        (1, 1, repr("IDENTIFIER\x0bname"))
+    assert "IDENTIFIER" in err.expected
+    err = _err("IDENTIFIER t\nVARIANT\xa0a\nx: 1;\n")
+    assert (err.line, err.column, err.found) == (2, 1, repr("VARIANT\xa0a"))
+    err = _err("IDENTIFIER t\nVARIANT a\n \x0b\nx: 1;\n")
+    assert (err.line, err.column, err.found) == (3, 2, repr("\x0b"))
+    doc = parse("IDENTIFIER \t t\t\n\tVARIANT\t a \n \tx: 1;\n")
+    assert (doc.identifier, doc.variants[0].name) == ("t", "a")
+
+
 def test_parse_error_oversized_literal():
     _err("IDENTIFIER t\nVARIANT a\nx: 0x100000000;")
 
