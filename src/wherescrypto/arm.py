@@ -404,7 +404,7 @@ def _operation(kind: NodeKind):
 
 _OPERATE = {kind: _operation(kind) for kind in FOLD}
 _OP_ADD, _OP_AND, _OP_XOR = _OPERATE[_ADD], _OPERATE[_AND], _OPERATE[_XOR]
-_OP_SUB, _OP_ROTATE = _OPERATE[_SUB], _OPERATE[_ROTATE]
+_OP_SUB = _OPERATE[_SUB]
 _ALL_ONES, _LOW_BYTE = ~MASK32, ~0xFF
 
 

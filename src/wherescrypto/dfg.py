@@ -92,6 +92,7 @@ _ZERO = {
     NodeKind.AND: 0,
 }
 
+
 def _rotate(a: int, b: int) -> int:
     b &= 31
     return ((a << b) | (a >> (32 - b))) & MASK32

@@ -337,11 +337,13 @@ def _stack_address(graph: Dfg, addr: NodeRef, sp_input: NodeRef) -> bool:
     return found is not None and found[0] == sp_input
 
 
-def purge_roots(graph: Dfg, state_regs: dict[str, NodeRef],
-                sp_input: NodeRef, complete: bool) -> set[NodeRef]:
+def purge_roots(graph: Dfg, result: Optional[NodeRef],
+                sp_input: NodeRef) -> set[NodeRef]:
+    """The result of a complete path (None for another one), every
+    CALL and every store outside the stack frame."""
     roots: set[NodeRef] = set()
-    if complete:
-        roots.add(graph.materialize(state_regs["R0"]))
+    if result is not None:
+        roots.add(result)
     call, store = NodeKind.CALL, NodeKind.STORE
     for ref, node in graph.nodes.items():
         if node.kind is call:
@@ -397,12 +399,12 @@ class Explorer:
         return results
 
     def _finish(self, state: ExecState, status: Status) -> PathResult:
-        complete = status is Status.COMPLETE
         described = [(render_condition(state.graph, c), pol)
                      for c, pol in state.path_condition.facts.items()]
         g = state.graph
-        result = g.materialize(state.regs["R0"]) if complete else None
-        g.purge(purge_roots(g, state.regs, self._sp_input, complete))
+        result = (g.materialize(state.regs["R0"])
+                  if status is Status.COMPLETE else None)
+        g.purge(purge_roots(g, result, self._sp_input))
         return PathResult(g, status, state.backlog, state.approx,
                           state.flags, state.steps, result, described)
 
