@@ -378,17 +378,12 @@ def _pc_write(state, value, address: int) -> StepOutcome:
     raise UnsupportedPcWrite(address)
 
 
-def _as_value(g, ref: NodeRef):
-    """A broker result as a value: ``~c`` when it is the CONST node of
-    c, so that work on it stays on ints."""
-    node = g.nodes[ref]
-    return ~node.const_value if node.kind is _CONST else ref
-
-
 def _operation(kind: NodeKind):
     """op(g, a, b) -> the value of ``kind(a, b)``: computed with
     `dfg.FOLD` when both are constants, else requested from the broker
-    with a node for each operand."""
+    with a node for each operand.  The broker's result stays a node
+    even in the rare case that it folds to a CONST node (an AND or a
+    product that collapses to 0); every reader takes that form too."""
     fold = FOLD[kind]
 
     def op(g, a, b):
@@ -398,7 +393,7 @@ def _operation(kind: NodeKind):
             a = g.request_constant(~a)
         elif b < 0:
             b = g.request_constant(~b)
-        return _as_value(g, g.request_operation(kind, (a, b)))
+        return g.request_operation(kind, (a, b))
     return op
 
 
@@ -423,7 +418,9 @@ def _load_value(state, addr, byte: bool):
     """What a word or byte load from the value ``addr`` reads: the
     image's bytes at a constant address inside it at which this path
     stored nothing, else the broker's load (a forwarded store or a
-    LOAD node), masked to its low byte for a byte load."""
+    LOAD node), masked to its low byte for a byte load.  A forwarded
+    constant comes back as ``~c``, so that a constant spilled to the
+    stack and loaded again stays on ints."""
     g = state.graph
     if g.is_const(addr):
         address = g.const_value(addr)
@@ -433,7 +430,10 @@ def _load_value(state, addr, byte: bool):
             if not byte and _in_image(state, address, 4):
                 return ~fetch_word(state.image, address, state.base)
         addr = g.request_constant(address)
-    value = _as_value(g, g.request_load(addr))
+    value = g.request_load(addr)
+    node = g.nodes[value]
+    if node.kind is _CONST:
+        value = ~node.const_value
     if byte:
         value = _OP_AND(g, value, _LOW_BYTE)
     return value
