@@ -7,7 +7,10 @@ workloads (seed 1) and every path it explores, the fixture
 ``fixtures/graph_pin.json`` holds the SHA-256 of
 ``graph.serialize()``, the ``result_ref``, the rendered ``conditions``
 and ``shape_sha256``, the SHA-256 of the graph's
-`helpers.canonical_form` with the canonical id of its result.  Node
+`helpers.canonical_form` with the canonical id of its result.  It also
+holds what the path did: its ``status``, ``steps``, sorted ``flags``
+and ``approx``, and its ``backlog`` of branch decisions by address, so
+a step or a decision counted differently fails here too.  Node
 refs are part of the serialized form, so a change to how many nodes
 the broker requests, or in what order, fails here even when the report
 stays the same.  The shape hash ignores numbering: a change that only
@@ -49,6 +52,12 @@ def pinned_graphs(workload: str) -> dict:
             "conditions": [[text, polarity]
                            for text, polarity in path.conditions],
             "shape_sha256": shape_sha256(path.graph, path.result_ref),
+            "status": path.status.value,
+            "steps": path.steps,
+            "flags": sorted(path.flags),
+            "approx": sorted(path.approx),
+            "backlog": [[address, decisions] for address, decisions
+                        in sorted(path.backlog.items())],
         } for path in paths]
     return out
 
