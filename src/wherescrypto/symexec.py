@@ -259,19 +259,14 @@ class ExecState:
 
     def fork(self) -> "ExecState":
         s = ExecState.__new__(ExecState)
+        s.__dict__.update(self.__dict__)    # then copy what a path changes
         s.graph = self.graph.fork_graph()
-        s.pc = self.pc
         s.regs = dict(self.regs)
         s.path_condition = self.path_condition.copy()
         s.backlog = {e: list(d) for e, d in self.backlog.items()}
         s.call_stack = list(self.call_stack)
-        s.flag_source = self.flag_source
         s.approx = set(self.approx)
         s.flags = set(self.flags)
-        s.image = self.image
-        s.base = self.base
-        s.initial_lr = self.initial_lr
-        s.steps = self.steps
         return s
 
 
@@ -295,13 +290,11 @@ def handle_conditional(state: ExecState, e: int,
                        fork_cap: int) -> list[tuple[ExecState, bool]]:
     """Algorithm: determined conditions follow the forced value with no
     backlog entry; underdetermined ones ask the oracle.  The sides of
-    ``comparison`` are values (`dfg.Dfg.is_const`): two constants
-    without a node are compared at once, and otherwise each side gets
-    its node for the `Condition`.  Returns up to two (state,
+    ``comparison`` are values (`dfg.Dfg.is_const`), one of them at
+    least a node (the step loop decides a guard on two ints), and each
+    gets its node for the `Condition`.  Returns up to two (state,
     tuple-value) pairs; contradictory extensions are dropped."""
     v1, op, v2 = comparison
-    if v1 < 0 and v2 < 0:
-        return [(state, _COMPARE[op](_to_signed(~v1), _to_signed(~v2)))]
     g = state.graph
     cond = Condition(g.materialize(v1), op, g.materialize(v2))
     verdict = state.path_condition.evaluate(g, cond)
@@ -382,20 +375,16 @@ class Explorer:
             return False
 
     def explore(self, entry: int) -> list[PathResult]:
-        config = self.config
         first = ExecState.initial(entry, self.image, self.base)
         stack = [first]
         results: list[PathResult] = []
-        deadline = time.monotonic() + config.timeout
+        deadline = time.monotonic() + self.config.timeout
         self._decoded = {}
         self._steps_left = STEP_BUDGET
         self._sp_input = first.regs["SP"]
 
         while stack:
-            state = stack.pop()
-            rec = self._run_state(state, stack, results, deadline)
-            if rec is not None:
-                results.append(rec)
+            self._run_state(stack.pop(), stack, results, deadline)
         return results
 
     def _finish(self, state: ExecState, status: Status) -> PathResult:
@@ -410,83 +399,88 @@ class Explorer:
 
     def _run_state(self, state: ExecState, stack: list[ExecState],
                    results: list[PathResult],
-                   deadline: float) -> Optional[PathResult]:
+                   deadline: float) -> None:
+        """Step one path until it ends (appending its PathResult) or
+        dies.  A guard on two ints is decided here, with no fact and no
+        backlog entry.  The step count and the shared budget stay in
+        locals, written back before a fork copies the count or it ends."""
         config = self.config
         decoded = self._decoded
+        steps = state.steps
+        limit = steps + self._steps_left    # where the budget runs out
         while True:
-            if self._steps_left <= 0:
+            if steps >= limit:
                 state.flags.add("instruction budget exhausted")
-                return self._finish(state, Status.TIMEOUT)
-            if state.steps % 256 == 0 and time.monotonic() > deadline:
+                status = Status.TIMEOUT
+                break
+            if steps % 256 == 0 and time.monotonic() > deadline:
                 state.flags.add("wall clock exceeded")
-                return self._finish(state, Status.TIMEOUT)
-            self._steps_left -= 1
-            state.steps += 1
-
-            ins = decoded.get(state.pc)
-            if ins is None:
-                try:
-                    ins = self._decode(state.pc)
-                except arm.DecodeError as err:
-                    state.flags.add(str(err))
-                    return self._finish(state, Status.ABORTED)
-
-            if ins.cond != "AL":
-                comparison, expect = arm.condition_info(state, ins.cond)
-                pairs = handle_conditional(
-                    state, state.pc, comparison, config.n,
-                    live_count=len(stack) + 1, fork_cap=config.fork_cap)
-                if not pairs:
-                    return None                       # dead state
-                # this loop follows the first pair; a forked sibling is
-                # run up to its next instruction and set aside
-                for st, value in pairs[1:]:
-                    done = self._execute(st, ins, value == expect)
-                    if done is None:
-                        stack.append(st)
-                    else:
-                        results.append(done)
-                state, value = pairs[0]
-                if value != expect:
-                    state.pc = ins.address + 4
-                    continue
-
-            # the body of `_execute`, kept inline for the step that
-            # falls through, which is most steps
+                status = Status.TIMEOUT
+                break
+            steps += 1
             try:
+                ins = decoded.get(state.pc) or self._decode(state.pc)
+                if ins.cond != "AL":
+                    (v1, op, v2), expect = arm.condition_info(state, ins.cond)
+                    if v1 < 0 and v2 < 0:
+                        value = _COMPARE[op](_to_signed(~v1), _to_signed(~v2))
+                    else:
+                        state.steps = steps
+                        pairs = handle_conditional(
+                            state, state.pc, (v1, op, v2), config.n,
+                            live_count=len(stack) + 1,
+                            fork_cap=config.fork_cap)
+                        if not pairs:                       # dead state
+                            self._steps_left = limit - steps
+                            return
+                        # follow the first pair; run a forked sibling
+                        # up to its next instruction and set it aside
+                        for st, value in pairs[1:]:
+                            end = self._execute(st, ins, value == expect)
+                            if end is None:
+                                stack.append(st)
+                            else:
+                                results.append(self._finish(st, end))
+                        state, value = pairs[0]
+                    if value != expect:
+                        state.pc = ins.address + 4
+                        continue
+                # the body of `_execute`, kept inline for the step that
+                # falls through, which is most steps
                 outcome = arm.execute(state, ins)
-            except arm.UnsupportedPcWrite as err:
+            except (arm.DecodeError, arm.UnsupportedPcWrite) as err:
                 state.flags.add(str(err))
-                return self._finish(state, Status.ABORTED)
+                status = Status.ABORTED
+                break
             if outcome is _FALLTHROUGH:
                 state.pc = ins.address + 4
                 continue
-            end = self._follow(state, outcome)
-            if end is not None:
-                return end
+            status = self._follow(state, outcome)
+            if status is not None:
+                break
+        state.steps = steps
+        self._steps_left = limit - steps
+        results.append(self._finish(state, status))
 
     def _execute(self, state: ExecState, ins: Instruction,
-                 taken: bool) -> Optional[PathResult]:
+                 taken: bool) -> Optional[Status]:
         """Skip the instruction when its condition failed, else lift it
         and follow its outcome.  Returns None to keep stepping or the
-        PathResult that ends the path."""
-        if not taken:
-            state.pc = ins.address + 4
-            return None
+        status that ends the path."""
         try:
-            outcome = arm.execute(state, ins)
+            outcome = arm.execute(state, ins) if taken else _FALLTHROUGH
         except arm.UnsupportedPcWrite as err:
             state.flags.add(str(err))
-            return self._finish(state, Status.ABORTED)
+            return Status.ABORTED
         if outcome is _FALLTHROUGH:
             state.pc = ins.address + 4
             return None
         return self._follow(state, outcome)
 
     def _follow(self, state: ExecState,
-                outcome: arm.StepOutcome) -> Optional[PathResult]:
-        """Follow a jump, call or return; `arm.execute` returns every
-        fall-through as the shared `_FALLTHROUGH`, handled before."""
+                outcome: arm.StepOutcome) -> Optional[Status]:
+        """Follow a jump or call, or end the path COMPLETE at a return;
+        `arm.execute` returns every fall-through as `_FALLTHROUGH`."""
         kind = outcome.kind
         if kind is _JUMP:
             target = outcome.target
@@ -498,7 +492,7 @@ class Explorer:
             self._handle_call(state, outcome.target,
                               outcome.return_address)
             return None
-        return self._finish(state, Status.COMPLETE)    # RETURN
+        return Status.COMPLETE                          # RETURN
 
     def _handle_call(self, state: ExecState, target: int,
                      return_address: int) -> None:

@@ -437,7 +437,9 @@ def test_explorer_reaches_the_lifter_through_the_arm_module(monkeypatch):
     the explorer must call both through the module: one decode per
     distinct address and one execute per instruction whose condition
     held, on a seed-1 `selftest-loops` function with skipped
-    conditional steps."""
+    conditional steps.  A guard on two ints is decided in the step
+    loop, so its skip is counted here from the comparison; a guard with
+    a node side is counted from what `handle_conditional` returns."""
     bench = _bench_corpus()
     corpus = bench.generate("selftest-loops", 1)
     decoded = _count_decodes(monkeypatch)
@@ -452,7 +454,11 @@ def test_explorer_reaches_the_lifter_through_the_arm_module(monkeypatch):
 
     def noting_condition(state, cond):
         info = condition_info(state, cond)
-        expected.append(info[1])
+        (v1, op, v2), expect = info
+        expected.append(expect)
+        if v1 < 0 and v2 < 0:
+            counts["skipped"] += (_HOLDS[op](_signed(~v1), _signed(~v2))
+                                  != expect)
         return info
 
     def counting_skips(*args, **kwargs):
@@ -733,18 +739,28 @@ def test_explore_budget_is_independent_of_timeout(monkeypatch):
                            {"instruction budget exhausted"}, 5_000)
 
 
-def test_forked_paths_share_the_budget(monkeypatch):
-    # cmp and beq run once before the fork; whatever the two spinning
-    # paths step after it comes out of the same budget
+@pytest.mark.parametrize("ending, status, flag", [
+    pytest.param("bx lr", Status.COMPLETE, None, id="return"),
+    pytest.param(".word 0xffffffff", Status.ABORTED,
+                 "undecodable at 0xc word=0xffffffff (unconditional space)",
+                 id="undecodable"),
+    pytest.param("bx r1", Status.ABORTED, "symbolic PC write at 0xc",
+                 id="symbolic-pc"),
+    pytest.param("b end", Status.TIMEOUT, "instruction budget exhausted",
+                 id="spin"),
+])
+def test_forked_paths_share_the_budget(monkeypatch, ending, status, flag):
+    # cmp and beq run once before the fork; the taken side runs first,
+    # and whatever both paths step after the fork comes out of the same
+    # budget, however the first one ends
     monkeypatch.setattr(symexec, "STEP_BUDGET", 3_000)
-    image = assemble("cmp r0, #0\nbeq spin2\nspin1: b spin1\n"
-                     "spin2: b spin2")
-    results = explore(0, image, Config(timeout=60))
-    assert len(results) == 2
-    for r in results:
-        assert r.status is Status.TIMEOUT
-        assert r.flags == {"instruction budget exhausted"}
-    assert 2 + sum(r.steps - 2 for r in results) == 3_000
+    image = assemble(f"cmp r0, #0\nbeq end\nspin: b spin\nend: {ending}")
+    first, spin = explore(0, image, Config(timeout=60))
+    assert first.status is status
+    assert first.flags == ({flag} if flag else set())
+    assert spin.status is Status.TIMEOUT
+    assert spin.flags == {"instruction budget exhausted"}
+    assert 2 + sum(r.steps - 2 for r in (first, spin)) == 3_000
 
 
 def test_work_per_conditional_does_not_grow_with_the_path(monkeypatch):
@@ -752,16 +768,17 @@ def test_work_per_conditional_does_not_grow_with_the_path(monkeypatch):
     # number of times, however many facts the path already holds
     counts = {"oriented": 0, "conditionals": 0}
 
-    def counted(name, key):
-        inner = getattr(symexec, name)
+    def counted(module, name, key):
+        inner = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             counts[key] += 1
             return inner(*args, **kwargs)
-        monkeypatch.setattr(symexec, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    counted("_against_constant", "oriented")
-    counted("handle_conditional", "conditionals")
+    counted(symexec, "_against_constant", "oriented")
+    # every conditional step reads its guard through the arm module
+    counted(arm, "condition_info", "conditionals")
     for iterations in (250, 1000):
         counts.update(oriented=0, conditionals=0)
         results = explore(0, assemble(shift_register_loop(iterations)),
@@ -790,13 +807,22 @@ loop:
 """
 
 
-def test_constant_work_makes_no_nodes_per_iteration():
+def test_constant_work_makes_no_nodes_per_iteration(monkeypatch):
     # constant-only work stays on ints, so 1,000 iterations leave the
-    # same graph as 10 and create no more nodes on the way
+    # same graph as 10 and create no more nodes on the way; the loop's
+    # guard compares two ints, so the step loop decides it without
+    # `handle_conditional`
+    handle, handled = symexec.handle_conditional, []
+
+    def noting(state, e, *args, **kwargs):
+        handled.append(e)
+        return handle(state, e, *args, **kwargs)
+    monkeypatch.setattr(symexec, "handle_conditional", noting)
     short, long = (explore(0, assemble(constant_count_loop(count)),
                            Config(timeout=600))
                    for count in (10, 1000))
     (a,), (b,) = short, long
+    assert handled == []
     assert a.status is b.status is Status.COMPLETE
     assert b.steps > 90 * a.steps
     assert a.graph._next_id == b.graph._next_id
