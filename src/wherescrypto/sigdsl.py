@@ -328,6 +328,16 @@ class _Parser:
         return Opaque(clamp, args)
 
 
+def _header_name(rest: str, line: int, column: int, expected: str) -> str:
+    """A header line's name, from ``column``: not empty, printable."""
+    if not rest:
+        raise ParseError(line, column, (expected,), "end of line")
+    for offset, char in enumerate(rest):
+        if not char.isprintable():
+            raise ParseError(line, column + offset, (expected,), repr(char))
+    return rest
+
+
 def parse(text: str) -> SignatureDoc:
     identifier: Optional[str] = None
     pending: list[tuple[str, int, list[tuple[int, str]]]] = []
@@ -343,23 +353,19 @@ def parse(text: str) -> SignatureDoc:
         word = parts[0].upper()
         rest = parts[1] if len(parts) > 1 else ""
         column = len(code) - len(code.lstrip(_BLANKS)) + 1
+        name_at = (line_no, column + len(stripped) - len(rest))
         if word == "IDENTIFIER":
             if identifier is not None or pending:
                 raise ParseError(line_no, column,
                                  ("VARIANT", "a statement"),
                                  "IDENTIFIER")
-            if not rest:
-                raise ParseError(line_no, column + len(parts[0]),
-                                 ("a signature name",), "end of line")
-            identifier = rest
+            identifier = _header_name(rest, *name_at, "a signature name")
         elif word == "VARIANT":
             if identifier is None:
                 raise ParseError(line_no, column, ("IDENTIFIER",),
                                  "VARIANT")
-            if not rest:
-                raise ParseError(line_no, column + len(parts[0]),
-                                 ("a variant name",), "end of line")
-            pending.append((rest, line_no, []))
+            name = _header_name(rest, *name_at, "a variant name")
+            pending.append((name, line_no, []))
         else:
             if identifier is None:
                 raise ParseError(line_no, column, ("IDENTIFIER",),

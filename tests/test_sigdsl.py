@@ -231,8 +231,9 @@ def test_parse_lines_end_only_at_newline():
     assert (err.line, err.column) == (4, 4)
     err = _err("IDENTIFIER t\nVARIANT a\nx: 1;\x0by: 2;\u2028\nz: q;")
     assert (err.line, err.column, err.found) == (3, 6, repr("\x0b"))
-    assert _err("IDENTIFIER t\x0c\x0c").line == 1
-    assert _err("IDENTIFIER t\x0c\n\x0c").line == 2
+    assert _err("IDENTIFIER t\n#\x0c\x0c").line == 2
+    err = _err("IDENTIFIER t\n#\x0c\n\x0c")
+    assert (err.line, err.column, err.found) == (3, 1, repr("\x0c"))
 
 
 def test_parse_header_words_split_only_at_blanks():
@@ -249,6 +250,23 @@ def test_parse_header_words_split_only_at_blanks():
     assert (err.line, err.column, err.found) == (3, 2, repr("\x0b"))
     doc = parse("IDENTIFIER \t t\t\n\tVARIANT\t a \n \tx: 1;\n")
     assert (doc.identifier, doc.variants[0].name) == ("t", "a")
+
+
+def test_parse_header_names_must_be_printable():
+    # a header name is the rest of its line, so a character a report
+    # could not show is refused where it stands; spaces and hyphens
+    # inside a name are fine
+    err = _err("IDENTIFIER t\x0c\nVARIANT a\nx: 1;\n")
+    assert (err.line, err.column, err.found) == (1, 13, repr("\x0c"))
+    assert err.expected == ("a signature name",)
+    err = _err("IDENTIFIER t\n  VARIANT a\x85b\nx: 1;\n")
+    assert (err.line, err.column, err.found) == (2, 12, repr("\x85"))
+    assert err.expected == ("a variant name",)
+    err = _err("IDENTIFIER Feistel\xa0network\nVARIANT a\nx: 1;\n")
+    assert (err.line, err.column, err.found) == (1, 19, repr("\xa0"))
+    doc = parse("IDENTIFIER Feistel network\nVARIANT depth-1\nx: 1;\n")
+    assert (doc.identifier, doc.variants[0].name) == \
+        ("Feistel network", "depth-1")
 
 
 def test_parse_error_oversized_literal():
