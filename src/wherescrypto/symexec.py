@@ -23,6 +23,7 @@ from .dfg import Dfg, NodeKind, NodeRef
 
 SIGNED_MIN = -(1 << 31)
 SIGNED_MAX = (1 << 31) - 1
+_SIGN = 1 << 31               # w ^ _SIGN orders 32-bit words as signed
 
 # `x op c` holds exactly for c + below <= x <= c + above
 _OPS = {"<": (-inf, -1), "<=": (-inf, 0), "==": (0, 0), ">=": (0, inf),
@@ -423,7 +424,7 @@ class Explorer:
                 if ins.cond != "AL":
                     (v1, op, v2), expect = arm.condition_info(state, ins.cond)
                     if v1 < 0 and v2 < 0:
-                        value = _COMPARE[op](_to_signed(~v1), _to_signed(~v2))
+                        value = _COMPARE[op](~v1 ^ _SIGN, ~v2 ^ _SIGN)
                     else:
                         state.steps = steps
                         pairs = handle_conditional(
@@ -445,8 +446,7 @@ class Explorer:
                     if value != expect:
                         state.pc = ins.address + 4
                         continue
-                # the body of `_execute`, kept inline for the step that
-                # falls through, which is most steps
+                # `_execute`'s body, inline: most steps fall through
                 outcome = arm.execute(state, ins)
             except (arm.DecodeError, arm.UnsupportedPcWrite) as err:
                 state.flags.add(str(err))
@@ -464,9 +464,8 @@ class Explorer:
 
     def _execute(self, state: ExecState, ins: Instruction,
                  taken: bool) -> Optional[Status]:
-        """Skip the instruction when its condition failed, else lift it
-        and follow its outcome.  Returns None to keep stepping or the
-        status that ends the path."""
+        """Skip the instruction if its condition failed, else lift it and
+        follow it; None to keep stepping, or the status ending the path."""
         try:
             outcome = arm.execute(state, ins) if taken else _FALLTHROUGH
         except arm.UnsupportedPcWrite as err:

@@ -926,3 +926,22 @@ def test_evaluate_two_constants_is_signed_comparison(op, x, y, known):
     assert handle_conditional(state, 0x20, Condition(a, op, b), n=4,
                               live_count=1, fork_cap=64) == [(state, holds)]
     assert state.path_condition.facts == facts and state.backlog == {}
+
+
+# condition code -> the signed comparison it takes the instruction on
+_EXACT_CODES = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
+                "le": operator.le, "gt": operator.gt, "ge": operator.ge}
+
+
+@settings(max_examples=300, deadline=None)
+@given(code=st.sampled_from(sorted(_EXACT_CODES)), x=_WORDS, y=_WORDS)
+def test_step_loop_decides_two_constants_as_signed(code, x, y):
+    # the flag source of `cmp` holds two ints, so the step loop decides
+    # the guard itself: one path, no fact, no backlog entry
+    image = assemble(f"ldr r1, ={x}\nldr r2, ={y}\nmov r0, #0\n"
+                     f"cmp r1, r2\nmov{code} r0, #1\nbx lr")
+    [path] = explore(0, image, Config(timeout=5))
+    assert path.status is Status.COMPLETE
+    assert (path.conditions, path.backlog) == ([], {})
+    taken = _EXACT_CODES[code](_signed(x), _signed(y))
+    assert path.graph.node(path.result_ref).const_value == int(taken)
