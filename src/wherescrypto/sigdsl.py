@@ -17,8 +17,9 @@ Grammar (keywords case-insensitive, '#' starts a comment):
                   | "ROTATE") "(" expr { "," expr } ")"
     opaque     = "OPAQUE" ["<" label ">"] ["(" [expr {"," expr}] ")"]
 
-Numbers are decimal or 0x hex, labels match [A-Za-z_][A-Za-z0-9_]*,
-and label references only point backwards within their variant.
+A header's rest-of-line name holds printable characters only.  Numbers
+are decimal or 0x hex, labels match [A-Za-z_][A-Za-z0-9_]*, and label
+references only point backwards within their variant.
 """
 
 from __future__ import annotations
