@@ -260,14 +260,19 @@ class ExecState:
 
     def fork(self) -> "ExecState":
         s = ExecState.__new__(ExecState)
-        s.__dict__.update(self.__dict__)    # then copy what a path changes
         s.graph = self.graph.fork_graph()
+        s.pc = self.pc
         s.regs = dict(self.regs)
         s.path_condition = self.path_condition.copy()
         s.backlog = {e: list(d) for e, d in self.backlog.items()}
         s.call_stack = list(self.call_stack)
+        s.flag_source = self.flag_source
         s.approx = set(self.approx)
         s.flags = set(self.flags)
+        s.image = self.image
+        s.base = self.base
+        s.initial_lr = self.initial_lr
+        s.steps = self.steps
         return s
 
 
@@ -401,11 +406,9 @@ class Explorer:
     def _run_state(self, state: ExecState, stack: list[ExecState],
                    results: list[PathResult],
                    deadline: float) -> None:
-        """Step one path until it ends (appending its PathResult) or
-        dies.  A guard on two ints is decided here, with no fact and no
-        backlog entry.  The step count and the shared budget stay in
-        locals, written back before a fork copies the count or it ends."""
-        config = self.config
+        """Step one path until it ends or dies.  A guard on two ints is
+        decided here, adding no fact or backlog entry; the step count and
+        budget are locals, written back before a fork and at the end."""
         decoded = self._decoded
         steps = state.steps
         limit = steps + self._steps_left    # where the budget runs out
@@ -428,9 +431,9 @@ class Explorer:
                     else:
                         state.steps = steps
                         pairs = handle_conditional(
-                            state, state.pc, (v1, op, v2), config.n,
+                            state, state.pc, (v1, op, v2), self.config.n,
                             live_count=len(stack) + 1,
-                            fork_cap=config.fork_cap)
+                            fork_cap=self.config.fork_cap)
                         if not pairs:                       # dead state
                             self._steps_left = limit - steps
                             return
