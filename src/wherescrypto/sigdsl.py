@@ -17,9 +17,8 @@ Grammar (keywords case-insensitive, '#' starts a comment):
                   | "ROTATE") "(" expr { "," expr } ")"
     opaque     = "OPAQUE" ["<" label ">"] ["(" [expr {"," expr}] ")"]
 
-A header's rest-of-line name holds printable characters only.  Numbers
-are decimal or 0x hex, labels match [A-Za-z_][A-Za-z0-9_]*, and label
-references only point backwards within their variant.
+Header names are printable; numbers are decimal or 0x hex, labels match
+[A-Za-z_][A-Za-z0-9_]*, and label references point back within a variant.
 """
 
 from __future__ import annotations
