@@ -65,16 +65,22 @@ REG_NAMES = tuple([f"R{i}" for i in range(13)] + ["SP", "LR", "PC"])
 
 @dataclass(frozen=True)
 class Reg:
+    """A register operand, by number (13 SP, 14 LR, 15 PC)."""
+
     index: int
 
 
 @dataclass(frozen=True)
 class Imm:
+    """An immediate value: an operand, shift amount or offset."""
+
     value: int
 
 
 @dataclass(frozen=True)
 class ShiftedReg:
+    """A register operand shifted by an immediate or a register."""
+
     reg: int
     kind: str                      # LSL / LSR / ASR / ROR
     amount: Optional[int] = None   # immediate shift amount
@@ -83,6 +89,9 @@ class ShiftedReg:
 
 @dataclass(frozen=True)
 class Mem:
+    """The address of a single load or store: base, offset and
+    indexing mode."""
+
     base: int
     offset: Union[Imm, ShiftedReg, None]
     add: bool
@@ -92,6 +101,8 @@ class Mem:
 
 @dataclass(frozen=True)
 class RegList:
+    """The registers, base and mode of a block load or store."""
+
     regs: tuple[int, ...]
     base: int
     mode: str                      # IA / IB / DA / DB
@@ -100,6 +111,8 @@ class RegList:
 
 @dataclass(frozen=True)
 class BranchTarget:
+    """The absolute address a branch goes to."""
+
     address: int
 
 
@@ -108,6 +121,8 @@ Operand = Union[Reg, Imm, ShiftedReg, Mem, RegList, BranchTarget]
 
 @dataclass(frozen=True)
 class Instruction:
+    """One decoded A32 instruction, with its lifter bound."""
+
     address: int
     raw: int
     mnemonic: str

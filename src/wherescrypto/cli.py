@@ -1,7 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 the analysis ran (whether or not anything matched), 1
-usage error, 2 I/O or input-format error.
+usage error, 2 I/O or input-format error.  Every address is an A32
+address, below 2^32: an entry at or past 2^32 is a format error, and a
+raw image whose base or end lies past it is a usage error.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .elf import ElfError, load_elf
+from .dfg import MASK32
 from .report import (FORMATS, AnalysisConfig, MalformedLineError,
                      analyze_binary, emit_report, load_entries)
 from .siglib import SignatureFileError, builtin_names, load_catalog, \
@@ -108,8 +110,9 @@ def main(argv=None) -> int:
         base = int(args.base, 16)
     except ValueError:
         return _fail_usage(f"--base expects a hex address, got {args.base!r}")
-    if base < 0:
-        return _fail_usage("--base must not be negative")
+    if not 0 <= base <= MASK32:
+        return _fail_usage(f"--base must be a 32-bit address, got "
+                           f"{args.base!r}")
 
     signature_paths = (args.signatures,) if args.signatures else ()
     try:
@@ -125,6 +128,7 @@ def main(argv=None) -> int:
     try:
         data = Path(args.image).read_bytes()
         if args.elf:
+            from .elf import ElfError, load_elf   # only ELF runs need it
             try:
                 loaded = load_elf(data)
             except ElfError as exc:
@@ -132,6 +136,9 @@ def main(argv=None) -> int:
             image, base = loaded.image, loaded.base
         else:
             image = data
+            if base + len(image) - 1 > MASK32:
+                return _fail_usage(f"a {len(image)}-byte image at --base "
+                                   f"{base:#x} ends past 2^32")
         if args.entries is None:                  # only with --elf
             entries = sorted(set(loaded.functions.values()))
         else:

@@ -4,8 +4,9 @@ function symbols from .symtab.
 Only what the analysis front end needs; no relocation, no dynamic
 linking.  Anything structurally off raises ElfError: a header, segment
 or symbol table that lies outside the file, a segment whose file size
-exceeds its memory size, or loadable segments spanning more than
-MAX_IMAGE_SPAN bytes from the lowest to the highest address.
+exceeds its memory size, loadable segments spanning more than
+MAX_IMAGE_SPAN bytes from the lowest to the highest address, or a
+segment that ends past the 32-bit address space.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ class ElfError(Exception):
 
 @dataclass
 class LoadedImage:
+    """The loadable segments as one flat image at `base`, with the
+    symbol table's addresses by name."""
+
     image: bytes
     base: int
     symbols: dict[str, int] = field(default_factory=dict)
@@ -67,6 +71,8 @@ def load_elf(data: bytes) -> LoadedImage:
     if top - base > MAX_IMAGE_SPAN:
         raise ElfError(f"loadable segments span {top - base:#x} bytes, "
                        f"limit {MAX_IMAGE_SPAN:#x}")
+    if top > 1 << 32:
+        raise ElfError(f"loadable segments end at {top:#x}, past 2^32")
     for _vaddr, offset, filesz, memsz in segments:
         if offset + filesz > len(data):
             raise ElfError("segment outside file")

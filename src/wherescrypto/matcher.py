@@ -26,6 +26,9 @@ __all__ = [
 
 @dataclass
 class Mapping:
+    """One embedding: signature ref to target ref, with the kind
+    each clamp label took."""
+
     assignment: dict[NodeRef, NodeRef]
     clamp_bindings: dict[str, NodeKind] = field(default_factory=dict)
 
@@ -491,6 +494,8 @@ def match_signature(sig: SignatureGraph, target: Dfg,
 
 @dataclass
 class BlockPermReport:
+    """One sequential-block-permutation candidate on a graph."""
+
     anchor: NodeRef
     triple: tuple[NodeRef, NodeRef, NodeRef]
     offsets: tuple[int, int, int]

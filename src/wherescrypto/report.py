@@ -23,10 +23,9 @@ import json
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
-from importlib import metadata
 from typing import Optional
 
-from .dfg import Dfg, NodeKind
+from .dfg import MASK32, Dfg, NodeKind
 from .matcher import (TargetIndex, classify_block_permutation,
                       match_signature)
 from .sigdsl import SignatureDoc, SignatureGraph, build_variant
@@ -53,6 +52,9 @@ FORMATS = ("json", "text", "dot")
 
 SCHEMA_VERSION = 1
 
+# the package version; pyproject.toml reads it from here
+VERSION = "0.1.0"
+
 
 class UnknownFormatError(ValueError):
     def __init__(self, fmt: str):
@@ -69,10 +71,7 @@ class MalformedLineError(ValueError):
 
 
 def tool_version() -> str:
-    try:
-        return metadata.version("wherescrypto")
-    except metadata.PackageNotFoundError:
-        return "0+unknown"
+    return VERSION
 
 
 @dataclass(frozen=True)
@@ -128,6 +127,10 @@ class BlockPermRecord:
 
 @dataclass
 class FunctionResult:
+    """Outcome of one entry point: its graphs' statuses, every
+    signature's result and the block-permutation findings, or the
+    error that stopped its exploration."""
+
     entry: int = field(metadata={"json": "0x{:x}".format})
     error: Optional[str] = None
     graphs: int = 0
@@ -145,6 +148,9 @@ class FunctionResult:
 
 @dataclass
 class AnalysisReport:
+    """One batch run: the tool version, its config, the totals and
+    one result per entry point."""
+
     version: str
     config: AnalysisConfig
     totals: dict[str, int]
@@ -277,8 +283,8 @@ def analyze_binary(image: bytes, base: int, entries: list[int],
 
 
 def load_entries(path) -> list[int]:
-    """One hex address per line; '#' starts a comment; blank lines
-    ignored.  Result is sorted and deduplicated."""
+    """One hex address below 2^32 per line; '#' starts a comment;
+    blank lines ignored.  Result is sorted and deduplicated."""
     addresses = set()
     with open(path, "r", encoding="utf-8") as handle:
         for number, raw in enumerate(handle, start=1):
@@ -289,7 +295,7 @@ def load_entries(path) -> list[int]:
                 value = int(text, 16)
             except ValueError:
                 raise MalformedLineError(number, text) from None
-            if value < 0:
+            if not 0 <= value <= MASK32:        # an A32 address
                 raise MalformedLineError(number, text)
             addresses.add(value)
     return sorted(addresses)

@@ -65,28 +65,38 @@ class ArityError(Exception):
 
 @dataclass(frozen=True)
 class Literal:
+    """A numeric constant in an expression."""
+
     value: int
 
 
 @dataclass(frozen=True)
 class LabelRef:
+    """A reference to a labelled statement."""
+
     name: str
 
 
 @dataclass(frozen=True)
 class OpCall:
+    """An operation keyword applied to its arguments."""
+
     op: str                      # canonical upper-case keyword
     args: tuple["Expr", ...]
 
 
 @dataclass(frozen=True)
 class Infix:
+    """An infix `+`, `<<` or `>>` over its operands."""
+
     op: str                      # '+', '<<' or '>>'
     args: tuple["Expr", ...]     # '+' is variadic, shifts binary
 
 
 @dataclass(frozen=True)
 class Opaque:
+    """An OPAQUE wildcard; those with one clamp label bind one kind."""
+
     clamp: Optional[str] = None
     args: tuple["Expr", ...] = ()
 
@@ -96,6 +106,9 @@ Expr = Union[Literal, LabelRef, OpCall, Infix, Opaque]
 
 @dataclass(frozen=True)
 class Statement:
+    """One statement of a variant: an expression, maybe labelled
+    or transient."""
+
     transient: bool
     label: Optional[str]
     expr: Expr
@@ -103,6 +116,8 @@ class Statement:
 
 @dataclass(frozen=True)
 class VariantDef:
+    """A named variant of a document, as its statements."""
+
     name: str
     statements: tuple[Statement, ...]
 
@@ -115,6 +130,8 @@ class VariantDef:
 
 @dataclass(frozen=True)
 class SignatureDoc:
+    """A parsed `.sig` document: its identifier and variants."""
+
     identifier: str
     variants: tuple[VariantDef, ...]
 

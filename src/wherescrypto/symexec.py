@@ -278,6 +278,8 @@ class ExecState:
 
 @dataclass
 class PathResult:
+    """One explored path: its purged graph, status and condition."""
+
     graph: Dfg
     status: Status
     backlog: dict[int, list[bool]]

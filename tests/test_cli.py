@@ -1,5 +1,6 @@
 """Command line behavior: flags, exit codes, output plumbing."""
 
+import ast
 import json
 import os
 import subprocess
@@ -229,6 +230,51 @@ def test_io_errors_exit_2(workspace, tmp_path, capsys):
         assert str(path) in fails("--image", str(image),
                                   "--entries", str(path))
     assert not any("Traceback" in err for err in errors)
+
+
+def test_entry_above_32_bits_exits_2(workspace, tmp_path, capsys):
+    _root, image, _entries = workspace
+    path = tmp_path / "high.txt"
+    path.write_text("0x0\n0x100000000\n")
+    assert main(["--image", str(image), "--entries", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "MALFORMED_LINE(2)" in err
+    path.write_text("0xffffffff\n")
+    assert report.load_entries(path) == [0xffffffff]
+
+
+def test_base_above_32_bits_exits_1(workspace, capsys):
+    _root, image, entries = workspace
+    assert main(["--image", str(image), "--entries", str(entries),
+                 "--base", "100000000"]) == 1
+    assert "--base" in capsys.readouterr().err
+
+
+def test_image_ending_past_32_bits_exits_1(workspace, tmp_path, capsys):
+    _root, image, _entries = workspace
+    size = len(image.read_bytes())
+    entries = tmp_path / "entries.txt"
+    for base, code in ((2**32 - size + 4, 1), (2**32 - size, 0)):
+        entries.write_text(f"{base:#x}\n")
+        assert main(["--image", str(image), "--entries", str(entries),
+                     "--base", f"{base:x}",
+                     "--out", str(tmp_path / "out.json")]) == code
+    assert "past 2^32" in capsys.readouterr().err
+
+
+def test_cold_import_loads_no_metadata_elf_or_assembler():
+    # -I -S: no environment variable, user site or site hook preloads
+    # a module, so the list is what importing the CLI itself loads
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import wherescrypto.cli; print(sorted(sys.modules))")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+                         capture_output=True, text=True, check=True).stdout
+    loaded = set(ast.literal_eval(out))
+    assert "wherescrypto.report" in loaded
+    assert not loaded & {"importlib.metadata", "wherescrypto.elf",
+                         "wherescrypto.asm"}
 
 
 def test_empty_entry_file_runs_clean(workspace, tmp_path):

@@ -98,6 +98,14 @@ def test_span_between_segments_counts_toward_cap():
         load_elf(data)
 
 
+def test_segment_ending_past_32_bits_exits_2(tmp_path, capsys):
+    path = tmp_path / "high.elf"
+    path.write_bytes(elf_header(52, 1)
+                     + program_header(84, 0xfffffff0, 4, 0x20) + bytes(4))
+    assert main(["--image", str(path), "--elf"]) == 2
+    assert "past 2^32" in capsys.readouterr().err
+
+
 def test_file_size_beyond_memory_size_rejected():
     data = elf_header(52, 1) + program_header(84, VADDR, 8, 4) + bytes(8)
     with pytest.raises(ElfError, match="exceeds its memory size"):

@@ -358,7 +358,8 @@ GOLDEN_BODY = Path(__file__).parent / "fixtures" / "report_body.json"
 def golden_body(monkeypatch) -> str:
     """The JSON body of a report with a matched exemplar, a block
     permutation record and a failed function, without `timestamp` and
-    without `version` (which depends on how the package is installed)."""
+    without `version`, which is the package's own and so would change
+    the fixture on every release."""
     text = LADDER + MDTOY + LEAF
     labels = label_addresses(text)
     entries = [labels["ladder"], labels["mdtoy"], labels["leaf"]]
@@ -373,6 +374,7 @@ def golden_body(monkeypatch) -> str:
     config = AnalysisConfig(signature_paths=("sigs",))
     rep = analyze_binary(assemble(text), 0, entries, config, load_catalog())
     data = json.loads(emit_report(rep, "json"))
+    assert data["version"] == report_mod.VERSION
     del data["timestamp"], data["version"]
     return json.dumps(data, indent=2) + "\n"
 

@@ -5,7 +5,8 @@ the package data, a broken console entry point) goes unseen there.
 This script checks the installed package instead: it dumps the
 built-in signatures through the console command, assembles a small
 LFSR with the installed `wherescrypto.asm`, scans it and expects the
-`nlfsr` signature to match.  Run it from outside the checkout after
+`nlfsr` signature to match and the report's `version` to be the
+installed distribution's version.  Run it from outside the checkout after
 `pip install .`:
 
     python3 /path/to/checkout/tools/smoke_installed.py [COMMAND ...]
@@ -19,6 +20,7 @@ import json
 import subprocess
 import sys
 import tempfile
+from importlib import metadata
 from pathlib import Path
 
 import wherescrypto.asm
@@ -74,6 +76,12 @@ def main(argv: list[str]) -> int:
     if function["error"] is not None or "nlfsr" not in matched:
         print(f"scan of the LFSR gave error={function['error']!r}, "
               f"matched={matched}")
+        return 1
+    # the version the build read from `report.VERSION`
+    installed = metadata.version("wherescrypto")
+    if report["version"] != installed:
+        print(f"report version {report['version']!r}, installed "
+              f"distribution {installed!r}")
         return 1
     print(f"installed package at {package}: ok")
     return 0
