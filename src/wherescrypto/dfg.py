@@ -55,6 +55,7 @@ class NodeKind(Enum):
 
 _CONST, _ADD, _MULT, _AND = (NodeKind.CONST, NodeKind.ADD, NodeKind.MULT,
                              NodeKind.AND)
+_XOR, _OR = NodeKind.XOR, NodeKind.OR
 _SHL, _SHR, _ROTATE, _SUB = (NodeKind.SHL, NodeKind.SHR, NodeKind.ROTATE,
                              NodeKind.SUB)
 _LOAD, _STORE = NodeKind.LOAD, NodeKind.STORE
@@ -315,23 +316,33 @@ class Dfg:
 
     def _build_commutative(self, kind: NodeKind, inputs: tuple[NodeRef, ...]) -> NodeRef:
         # (d) flatten same-kind children into one variadic node
+        nodes = self.nodes
         flat: list[NodeRef] = []
         for i in inputs:
-            n = self.nodes[i]
+            n = nodes[i]
             if n.kind is kind:
                 flat.extend(n.inputs)
             else:
                 flat.append(i)
 
-        # (a)-(c) fold constants, drop the identity, collapse on zero
+        # (a)-(c) fold constants, drop the identity, collapse on zero;
+        # count what rules (i) and (j) need, so they cost nothing where
+        # they cannot fire
         acc = _IDENTITY[kind]
         rest: list[NodeRef] = []
+        shr = False
+        ands = 0
         for i in flat:
-            n = self.nodes[i]
-            if n.kind is _CONST:
+            n = nodes[i]
+            k = n.kind
+            if k is _CONST:
                 acc = FOLD[kind](acc, n.const_value)
             else:
                 rest.append(i)
+                if k is _SHR:
+                    shr = True
+                elif k is _AND:
+                    ands += 1
         zero = _ZERO.get(kind)
         if zero is not None and acc == zero:
             return self.request_constant(zero)
@@ -341,6 +352,22 @@ class Dfg:
             rest.append(self.request_constant(acc))
         if len(rest) == 1:
             return rest[0]
+
+        # (i) SHL(x, k) and SHR(x, 32-k) share no set bit, so in an OR,
+        # XOR or ADD the pair is ROTATE(x, k); (j) AND(b, ...) and
+        # AND(XOR(b, 0xffffffff), ...) share none either, so in an ADD
+        # or XOR the pair is their OR.  With one spelling per value, a
+        # signature needs only one.
+        pair = None
+        if shr and kind is not _AND and kind is not _MULT:
+            pair = self._rotate_pair(rest)
+        if pair is None and ands > 1 and (kind is _ADD or kind is _XOR):
+            pair = self._selector_pair(rest)
+        if pair is not None:
+            a, b, joined = pair
+            rest.remove(a)
+            rest.remove(b)
+            return self._build_commutative(kind, (*rest, joined))
 
         # (e) doubling: ADD(x, x) -> MULT(x, 2)
         if kind is _ADD and len(rest) == 2 and rest[0] == rest[1]:
@@ -380,6 +407,54 @@ class Dfg:
 
         rest.sort()
         return self._insert(kind, tuple(rest))
+
+    def _rotate_pair(self, terms: list[NodeRef]) -> Optional[tuple]:
+        """Rule (i): SHL(x, k) and SHR(x, 32-k) among ``terms`` and
+        their ROTATE(x, k), or None.  Rule (e) made SHL(x, 1) MULT(x, 2)."""
+        nodes = self.nodes
+        right = {}
+        left = []
+        for t in terms:
+            n = nodes[t]
+            if n.kind is _SHR and nodes[n.inputs[1]].kind is _CONST:
+                right[n.inputs[0], 32 - nodes[n.inputs[1]].const_value] = t
+            elif n.kind is _SHL or n.kind is _MULT:
+                left.append(t)
+        for t in sorted(left):
+            n = nodes[t]
+            if len(n.inputs) != 2:
+                continue
+            x, by = n.inputs
+            if n.kind is _SHL:
+                k = nodes[by].const_value
+            else:
+                if nodes[x].kind is _CONST:
+                    x, by = by, x
+                k = 1 if nodes[by].const_value == 2 else None
+            if (x, k) in right:
+                return t, right[x, k], self._build_shift(
+                    _ROTATE, x, self.request_constant(k))
+        return None
+
+    def _selector_pair(self, terms: list[NodeRef]) -> Optional[tuple]:
+        """Rule (j): AND(b, ...) and AND(XOR(b, 0xffffffff), ...) among
+        ``terms`` and their OR, or None."""
+        nodes = self.nodes
+        ands = sorted(t for t in terms if nodes[t].kind is _AND)
+        for t in ands:
+            for c in nodes[t].inputs:
+                n = nodes[c]
+                if n.kind is not _XOR or len(n.inputs) != 2:
+                    continue
+                b, mask = n.inputs
+                if nodes[b].kind is _CONST:
+                    b, mask = mask, b
+                if nodes[mask].const_value != MASK32:
+                    continue
+                for u in ands:
+                    if u != t and b in nodes[u].inputs:
+                        return t, u, self._build_commutative(_OR, (t, u))
+        return None
 
     def _shift_amount(self, kind: NodeKind, amount: NodeRef,
                       a: int) -> tuple[NodeRef, int]:

@@ -1,7 +1,8 @@
 """Built-in signature catalog.
 
-Signatures ship as ``.sig`` documents embedded in the package under
-``signatures/``.  The catalog covers algorithm-specific documents
+Signatures ship as ``.sig`` documents in the package's ``signatures/``
+directory, read as plain files next to this module: the package is
+installed as files on disk, not imported from a zip archive.  The catalog covers algorithm-specific documents
 (XTEA, MD5, AES, SHA1) plus two generic classes: a Feistel ladder whose
 variants substitute the round function with increasingly deep chains of
 wildcard operations, and feedback shift register variants.
@@ -14,7 +15,6 @@ printed form of the depth-8 ladder.
 from __future__ import annotations
 
 import functools
-from importlib import resources
 from pathlib import Path
 
 from .sigdsl import ArityError, ParseError, SignatureDoc, parse
@@ -47,19 +47,21 @@ class SignatureFileError(ValueError):
         self.path = path
 
 
-def _signature_dir():
-    return resources.files(__package__) / "signatures"
+#: The built-in documents.  A path beside this module, not
+#: `importlib.resources`, whose import alone loads `tempfile`, `shutil`
+#: and a dozen more modules that a scan never uses.
+_SIGNATURE_DIR = Path(__file__).parent / "signatures"
 
 
 def builtin_names() -> list[str]:
     """Names accepted by `load_builtin`, sorted."""
-    return sorted(entry.name[:-4] for entry in _signature_dir().iterdir()
+    return sorted(entry.name[:-4] for entry in _SIGNATURE_DIR.iterdir()
                   if entry.name.endswith(".sig"))
 
 
 def signature_source(name: str) -> str:
     """Raw document text of a built-in, for display or extraction."""
-    entry = _signature_dir() / f"{name}.sig"
+    entry = _SIGNATURE_DIR / f"{name}.sig"
     try:
         return entry.read_text(encoding="utf-8")
     except (FileNotFoundError, NotADirectoryError):

@@ -273,8 +273,10 @@ def test_cold_import_loads_no_metadata_elf_or_assembler():
                          capture_output=True, text=True, check=True).stdout
     loaded = set(ast.literal_eval(out))
     assert "wherescrypto.report" in loaded
+    assert "wherescrypto.siglib" in loaded
     assert not loaded & {"importlib.metadata", "wherescrypto.elf",
-                         "wherescrypto.asm"}
+                         "wherescrypto.asm", "importlib.resources",
+                         "tempfile", "shutil"}
 
 
 def test_empty_entry_file_runs_clean(workspace, tmp_path):

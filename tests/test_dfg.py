@@ -8,6 +8,7 @@ suite.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -18,11 +19,15 @@ from hypothesis import strategies as st
 from helpers import drive_spec_sequence
 from wherescrypto.dfg import (
     COMMUTATIVE,
+    FOLD,
     DeadNodeError,
     Dfg,
     GraphError,
     NodeKind,
 )
+
+
+MASK = 0xFFFFFFFF
 
 
 def add(g: Dfg, *refs: int) -> int:
@@ -298,6 +303,163 @@ def test_confluence_under_input_permutation():
     assert len(serials) == 1
 
 
+# ------------------------------- one spelling per value: rules (i), (j)
+
+
+def shl(g: Dfg, x: int, k: int) -> int:
+    return op(g, NodeKind.SHL, x, g.request_constant(k))
+
+
+def shr(g: Dfg, x: int, k: int) -> int:
+    return op(g, NodeKind.SHR, x, g.request_constant(k))
+
+
+@pytest.mark.parametrize("k", [1, 7, 31])
+@pytest.mark.parametrize("kind", [NodeKind.OR, NodeKind.XOR, NodeKind.ADD])
+def test_shift_or_pair_becomes_rotate(kind, k):
+    # SHL(x, 1) is MULT(x, 2) by rule (e) and still pairs
+    g = Dfg()
+    x, y = g.request_input("x"), g.request_input("y")
+    rotated = op(g, NodeKind.ROTATE, x, g.request_constant(k))
+    assert op(g, kind, shr(g, x, 32 - k), shl(g, x, k)) == rotated
+    both = op(g, kind, y, shl(g, x, k), shr(g, x, 32 - k))
+    assert g.node(both).kind is kind
+    assert g.node(both).inputs == tuple(sorted((y, rotated)))
+
+
+def test_shift_or_pair_needs_one_value_and_amounts_summing_to_32():
+    g = Dfg()
+    x, y = g.request_input("x"), g.request_input("y")
+    for left, right in ((shl(g, x, 7), shr(g, x, 24)),
+                        (shl(g, x, 7), shr(g, y, 25)),
+                        (shl(g, x, 33), shr(g, x, 1))):
+        for kind in (NodeKind.OR, NodeKind.AND, NodeKind.MULT):
+            pair = op(g, kind, left, right)
+            assert g.node(pair).inputs == tuple(sorted((left, right)))
+    assert NodeKind.ROTATE not in {n.kind for n in g.nodes.values()}
+
+
+@pytest.mark.parametrize("kind", [NodeKind.ADD, NodeKind.XOR])
+def test_selector_sum_becomes_or(kind):
+    # AND(b, c) and AND(~b, d) share no set bit: adding or XORing them
+    # is their OR, the spelling of the MD5 and SHA-1 selectors
+    g = Dfg()
+    b, c, d, e = (g.request_input(s) for s in "bcde")
+    not_b = op(g, NodeKind.XOR, b, g.request_constant(MASK))
+    picked, other = op(g, NodeKind.AND, b, c), op(g, NodeKind.AND, d, not_b)
+    selector = op(g, NodeKind.OR, picked, other)
+    assert op(g, kind, other, picked) == selector
+    assert g.node(op(g, kind, e, picked, other)).inputs == \
+        tuple(sorted((e, selector)))
+    # the complement of a value that the other AND lacks pairs with
+    # nothing
+    not_e = op(g, NodeKind.XOR, e, g.request_constant(MASK))
+    unpaired = op(g, kind, picked, op(g, NodeKind.AND, d, not_e))
+    assert g.node(unpaired).kind is kind
+
+
+def test_paired_terms_are_confluent_under_input_permutation():
+    serials = set()
+    for perm in itertools.permutations(range(5)):
+        g = Dfg()
+        x, b, c, d = (g.request_input(s) for s in "xbcd")
+        not_b = op(g, NodeKind.XOR, b, g.request_constant(MASK))
+        terms = [shl(g, x, 5), shr(g, x, 27), op(g, NodeKind.AND, b, c),
+                 op(g, NodeKind.AND, not_b, d), c]
+        add(g, *(terms[i] for i in perm))
+        serials.add(g.serialize())
+    assert len(serials) == 1
+
+
+def evaluate(g: Dfg, ref: int, words: dict[int, int]) -> int:
+    """The value of node ``ref`` through `FOLD`, with the word
+    ``words[i]`` for each INPUT node i."""
+    node = g.node(ref)
+    if node.kind is NodeKind.CONST:
+        return node.const_value
+    if node.kind is NodeKind.INPUT:
+        return words[ref]
+    return functools.reduce(FOLD[node.kind],
+                            [evaluate(g, i, words) for i in node.inputs])
+
+
+_PICK = st.integers(0, 63)
+_JOINS = [NodeKind.OR, NodeKind.XOR, NodeKind.ADD, NodeKind.AND,
+          NodeKind.MULT]
+_REQUEST = st.one_of(
+    # a shift-or pair joined with up to two more terms: rule (i) fires
+    # in an OR, XOR or ADD and must not in an AND or MULT
+    st.tuples(st.just("rotate"), st.sampled_from(_JOINS),
+              st.integers(1, 31), st.lists(_PICK, min_size=1, max_size=3)),
+    # AND(b, c) and AND(XOR(b, m), d) joined with up to two more terms:
+    # rule (j) fires in an ADD or XOR, and only for m = 0xffffffff
+    st.tuples(st.just("select"), st.sampled_from(_JOINS),
+              st.one_of(st.just(MASK), st.integers(1, MASK)),
+              st.lists(_PICK, min_size=3, max_size=5)),
+    # any other operation, to vary what the pairs are made of
+    st.tuples(st.just("other"),
+              st.sampled_from(_JOINS + [NodeKind.SHL, NodeKind.SHR,
+                                        NodeKind.ROTATE, NodeKind.SUB]),
+              st.integers(1, 31), st.lists(_PICK, min_size=2, max_size=3)),
+)
+_FIRES = {"rotate": {NodeKind.OR, NodeKind.XOR, NodeKind.ADD},
+          "select": {NodeKind.XOR, NodeKind.ADD}}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, MASK), min_size=3, max_size=3),
+       st.lists(_REQUEST, min_size=1, max_size=10))
+def test_paired_spellings_evaluate_like_the_request(words, requests):
+    g = Dfg()
+    inputs = [g.request_input(s) for s in "xyz"]
+    env = dict(zip(inputs, words))
+    pool = list(inputs)
+    written = dict(env)     # ref -> value of the request as written
+
+    def request(kind: NodeKind, refs: list[int]) -> int:
+        if kind not in COMMUTATIVE:
+            refs = refs[:2]
+        value = functools.reduce(FOLD[kind], [written[r] for r in refs])
+        ref = g.request_operation(kind, refs)
+        assert evaluate(g, ref, env) == value, (kind, refs)
+        assert written.setdefault(ref, value) == value
+        pool.append(ref)
+        return ref
+
+    def const(value: int) -> int:
+        ref = g.request_constant(value)
+        written[ref] = value
+        return ref
+
+    for shape, kind, k, picks in requests:
+        terms = [pool[i % len(pool)] for i in picks]
+        if shape == "rotate":
+            x = terms.pop()
+            pair = [request(NodeKind.SHL, [x, const(k)]),
+                    request(NodeKind.SHR, [x, const(32 - k)])]
+        elif shape == "select":
+            b = inputs[picks[0] % 3]
+            c, d = terms[1], terms[2]
+            terms = terms[3:]
+            not_b = request(NodeKind.XOR, [b, const(k)])
+            pair = [request(NodeKind.AND, [b, c]),
+                    request(NodeKind.AND, [d, not_b])]
+        else:
+            if kind in (NodeKind.SHL, NodeKind.SHR, NodeKind.ROTATE):
+                terms[1:] = [const(k)]
+            request(kind, terms)
+            continue
+        result = request(kind, pair + terms)
+        node = g.node(result)
+        if kind in _FIRES[shape] and (
+                k == MASK if shape == "select"
+                else g.node(x).kind is NodeKind.INPUT):
+            # the written pair never survives into the node
+            assert node.kind is not kind or not set(pair) <= set(node.inputs) \
+                or pair[0] == pair[1]
+    g.check_consing_invariants()
+
+
 # ---------------------------------------- all-constant requests fold
 
 # requests whose inputs are all CONST fold with ints in one step; they
@@ -369,8 +531,6 @@ def test_multiply_and_mask_by_zero_collapse(kind):
     assert op(g, kind, x, zero) == zero
     assert len(g) == 3
 
-
-MASK = 0xFFFFFFFF
 
 
 def _concrete(kind: NodeKind, values: list[int]) -> int:

@@ -167,7 +167,7 @@ def test_pin_covers_an_unclosed_wildcard_at_end_of_variant():
 def test_shipped_variant_graphs_are_pinned():
     pin = json.loads(PIN.read_text(encoding="utf-8"))
     graphs = built_graphs()
-    assert sum(map(len, graphs.values())) == 18
+    assert sum(map(len, graphs.values())) == 15
     assert graphs == pin["graphs"]
 
 

@@ -413,6 +413,42 @@ def test_text_summary(lfsr_image, nlfsr_corpus):
     assert "totals:" in text
 
 
+# Three loads 16 bytes apart from a computed base, each stored on its
+# own: a path joins the first two loads only through their stores, and
+# no path of the same shape joins the second and third, so the record
+# stays unconfirmed and its anchor is a node, not a named input.
+SPREAD = """\
+spread:
+    lsl r5, r0, #2
+    ldr r1, [r5, #16]
+    ldr r2, [r5, #32]
+    ldr r3, [r5, #48]
+    str r1, [r4]
+    str r2, [r4, #4]
+    str r3, [r4, #8]
+    bx lr
+"""
+
+
+def test_text_block_permutation_records():
+    text = MDTOY + SPREAD
+    entries = label_addresses(text)
+    rep = analyze_binary(assemble(text), 0,
+                         [entries["mdtoy"], entries["spread"]], corpus={})
+    (confirmed,), (unconfirmed,) = (
+        fn.block_permutation for fn in rep.functions)
+    assert confirmed.confirmed and not unconfirmed.confirmed
+    assert unconfirmed.anchor_symbol is None
+    lines = emit_report(rep, "text").decode().splitlines()
+    records = [line for line in lines if "block permutation" in line]
+    assert records == [
+        "  block permutation: confirmed anchor=R0 "
+        "offsets=[0x10, 0x50, 0x90] graph=0",
+        f"  block permutation: unconfirmed anchor=node{unconfirmed.anchor} "
+        "offsets=[0x10, 0x20, 0x30] graph=0"]
+    assert "block_permutations_confirmed=1" in lines[-2]
+
+
 def test_only_a_dot_analysis_keeps_graphs(nlfsr_corpus):
     # a JSON or text analysis keeps no graph and cannot be drawn; the
     # DOT of a DOT analysis is pinned by its hash (both graphs, the

@@ -2,10 +2,12 @@
 behaviors the generic-class signatures are designed around."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
+from helpers import canonical_form
 from wherescrypto.dfg import Dfg, NodeKind
 from wherescrypto.matcher import match_signature
 from wherescrypto.sigdsl import build_variant, parse, print_doc
@@ -99,35 +101,98 @@ def test_xtea_key_loads():
 
 
 def test_md5_variants():
+    # one variant: the broker gives shift-or rotations and fused
+    # selectors the spelling of this one (see the respelling tests)
     doc = load_builtin("md5")
-    assert [v.name for v in doc.variants] == ["rotate", "shift-or",
-                                              "rotate-fused"]
+    assert [v.name for v in doc.variants] == ["rotate"]
     rotate = build_variant(doc.variants[0])
-    shifted = build_variant(doc.variants[1])
-    fused = build_variant(doc.variants[2])
     assert 400 <= len(rotate.graph.nodes) <= 700
-    assert 400 <= len(shifted.graph.nodes) <= 700
-    assert 400 <= len(fused.graph.nodes) <= 700
-    assert kind_counts(rotate.graph)["ROTATE"] == 64
+    counts = kind_counts(rotate.graph)
+    assert counts["ROTATE"] == 64
+    assert "SHL" not in counts and "SHR" not in counts
     # sixteen message words, reused across rounds and consed
-    assert kind_counts(rotate.graph)["LOAD"] == 16
-    shifted_counts = kind_counts(shifted.graph)
-    assert "ROTATE" not in shifted_counts
-    assert shifted_counts["SHR"] == 64
-    fused_counts = kind_counts(fused.graph)
-    assert fused_counts["ROTATE"] == 64
-    # folding the selector OR into the step additions leaves only the
-    # sixteen ORs of the final round
-    assert fused_counts["OR"] == 16
+    assert counts["LOAD"] == 16
+    # the 32 selector ORs of rounds one and two, and round four's 16
+    assert counts["OR"] == 48
 
 
 def test_sha1_variants():
     doc = load_builtin("sha1")
-    assert [v.name for v in doc.variants] == ["A", "B"]
+    assert [v.name for v in doc.variants] == ["A"]
     built = build_variant(doc.variants[0])
     counts = kind_counts(built.graph)
     assert counts["ROTATE"] == 5    # four step links plus ROTATE(b, 30)
     assert counts["CONST"] == 3     # round constant and the two amounts
+
+
+def shape(doc_text: str) -> tuple[str, list[int]]:
+    """The one variant of ``doc_text`` as built: its canonical form and
+    the canonical ids of its transient nodes."""
+    (variant,) = parse(doc_text).variants
+    built = build_variant(variant)
+    text, canon = canonical_form(built.graph)
+    return text, sorted(canon[ref] for ref in built.transient_set)
+
+
+_ROTATE_CALL = re.compile(r"ROTATE\((\w+),(\d+)\)")
+_SELECTOR_OR = re.compile(
+    r"OR\((AND\(\w+,\w+\)),(AND\(\w+,XOR\(\w+,0xffffffff\)\))\)")
+_MD5_STEP = re.compile(r"TRANSIENT [pv](\d+):")
+
+
+def respell_md5(text: str, rotate, selector) -> str:
+    """``text`` with each step's ROTATE written as a shift-or pair
+    where ``rotate(step)`` holds, and its selector OR written as an ADD
+    where ``selector(step)`` holds."""
+    lines = []
+    for line in text.splitlines():
+        step = _MD5_STEP.match(line)
+        if step is not None:
+            i = int(step[1])
+            if rotate(i):
+                line = _ROTATE_CALL.sub(
+                    lambda m: f"OR({m[1]}<<{m[2]},{m[1]}>>{32 - int(m[2])})",
+                    line)
+            if selector(i):
+                line = _SELECTOR_OR.sub(r"\1+\2", line)
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rotate, selector, rotates, fused", [
+    (lambda i: True, lambda i: False, 0, 0),
+    (lambda i: False, lambda i: True, 64, 32),
+    (lambda i: i % 2 == 1, lambda i: i % 4 >= 2, 32, 16),
+], ids=["shift-or", "fused", "mixed"])
+def test_md5_respellings_build_the_shipped_variant(rotate, selector,
+                                                   rotates, fused):
+    shipped = signature_source("md5")
+    respelled = respell_md5(shipped, rotate, selector)
+    # every step is respelled as asked: 64 rotations, 32 selectors
+    assert respelled.count("ROTATE(") == rotates
+    assert respelled.count("<<") == 64 - rotates
+    assert respelled.count(")+AND(") == fused
+    assert len(_SELECTOR_OR.findall(respelled)) == 32 - fused
+    assert shape(respelled) == shape(shipped)
+
+
+#: The shift-or variant ``sha1.sig`` shipped next to ``A`` before the
+#: broker normalized the spelling.
+SHA1_SHIFT_OR = """\
+IDENTIFIER SHA1 compression rounds
+
+VARIANT B
+TRANSIENT a:OPAQUE;
+TRANSIENT b:OPAQUE;
+TRANSIENT t1:OR(a<<5,a>>27)+OPAQUE+OPAQUE+0x5A827999+OPAQUE;
+TRANSIENT t2:OR(t1<<5,t1>>27)+OPAQUE+OPAQUE+0x5A827999+OPAQUE;
+TRANSIENT t3:OR(t2<<5,t2>>27)+OPAQUE+OPAQUE+0x5A827999+OPAQUE;
+t4:OR(t3<<5,t3>>27)+OPAQUE+OR(b<<30,b>>2)+0x5A827999+OPAQUE;
+"""
+
+
+def test_sha1_shift_or_builds_the_shipped_variant():
+    assert shape(SHA1_SHIFT_OR) == shape(signature_source("sha1"))
 
 
 def test_aes_round_shape():

@@ -499,6 +499,42 @@ def test_forked_paths_abort_on_same_undecodable_word(monkeypatch):
     assert decoded.count(0xc) == 2
 
 
+def test_conditional_that_leaves_no_live_state_ends_the_path():
+    # fork_cap=1 makes every undetermined guard take its false side
+    # alone.  The first three leave R0 in [0, 1] with 0 excluded; the
+    # fourth's false side, R0 != 1, excludes the rest, so the step loop
+    # is left with no state and the path ends without a result
+    image = assemble("cmp r0, #0\nblt out\ncmp r0, #1\nbgt out\n"
+                     "cmp r0, #0\nbeq out\ncmp r0, #1\nbeq out\n"
+                     "mov r0, #7\nout: bx lr")
+    explorer = symexec.Explorer(image, config=Config(fork_cap=1, timeout=2))
+    assert explorer.explore(0) == []
+    # the eight steps up to the dead guard still count against the budget
+    assert explorer._steps_left == symexec.STEP_BUDGET - 8
+
+
+def test_forked_sibling_that_returns_at_once_is_finished():
+    # NE is "not (R0 == 5)": the sibling that takes it returns at its
+    # first instruction and is finished before the other side runs on
+    image = assemble("cmp r0, #5\nbxne lr\nmov r0, #1\nbx lr")
+    results = symexec.Explorer(image, config=Config(timeout=2)).explore(0)
+    assert [(r.status, r.steps, r.conditions) for r in results] == [
+        (Status.COMPLETE, 2, [("R0 == 5", False)]),
+        (Status.COMPLETE, 4, [("R0 == 5", True)])]
+    sibling, rest = results
+    assert sibling.graph.node(sibling.result_ref).symbol == "R0"
+    assert rest.graph.const_value(rest.result_ref) == 1
+
+
+def test_forked_sibling_that_writes_a_symbolic_pc_aborts():
+    image = assemble("cmp r0, #5\nbxne r1\nmov r0, #1\nbx lr")
+    results = symexec.Explorer(image, config=Config(timeout=2)).explore(0)
+    assert [(r.status, r.steps, r.flags) for r in results] == [
+        (Status.ABORTED, 2, {"symbolic PC write at 0x4"}),
+        (Status.COMPLETE, 4, set())]
+    assert results[0].result_ref is None
+
+
 def test_explore_diamond_makes_two_paths():
     image = assemble("cmp r0, #0\nbge pos\nmov r0, #7\nbx lr\n"
                      "pos: mov r0, #9\nbx lr")

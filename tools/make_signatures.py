@@ -75,24 +75,17 @@ def _md5_msg_index(i: int) -> int:
     return (7 * i) % 16
 
 
-def _md5_boolean(i: int, b: str, c: str, d: str, fused: bool) -> str:
-    # The fused forms replace the selector OR with addition: the two
-    # AND terms cover disjoint bits, so optimizers prove the OR
-    # carry-free and merge it into the surrounding additions.
+def _md5_boolean(i: int, b: str, c: str, d: str) -> str:
     if i < 16:
-        if fused:
-            return f"AND({b},{c})+AND({d},XOR({b},0xffffffff))"
         return f"OR(AND({b},{c}),AND({d},XOR({b},0xffffffff)))"
     if i < 32:
-        if fused:
-            return f"AND({d},{b})+AND({c},XOR({d},0xffffffff))"
         return f"OR(AND({d},{b}),AND({c},XOR({d},0xffffffff)))"
     if i < 48:
         return f"XOR({b},{c},{d})"
     return f"XOR({c},OR({b},XOR({d},0xffffffff)))"
 
 
-def _md5_variant(name: str, rotate: bool, fused: bool = False) -> list[str]:
+def _md5_variant(name: str) -> list[str]:
     lines = [f"VARIANT {name}",
              "TRANSIENT m:OPAQUE;",
              "TRANSIENT a0:OPAQUE;",
@@ -106,13 +99,9 @@ def _md5_variant(name: str, rotate: bool, fused: bool = False) -> list[str]:
         shift = _MD5_SHIFTS[i // 16][i % 4]
         pre, val = f"p{i + 1}", f"v{i + 1}"
         lines.append(
-            f"TRANSIENT {pre}:{a}+{_md5_boolean(i, b, c, d, fused)}"
+            f"TRANSIENT {pre}:{a}+{_md5_boolean(i, b, c, d)}"
             f"+{load}+0x{_md5_sine(i):x};")
-        if rotate:
-            turned = f"ROTATE({pre},{shift})"
-        else:
-            turned = f"OR({pre}<<{shift},{pre}>>{32 - shift})"
-        lines.append(f"TRANSIENT {val}:{b}+{turned};")
+        lines.append(f"TRANSIENT {val}:{b}+ROTATE({pre},{shift});")
         a, b, c, d = d, val, b, c
     for out, st, reg in zip(("out0", "out1", "out2", "out3"),
                             ("a0", "b0", "c0", "d0"), (a, b, c, d)):
@@ -126,19 +115,16 @@ def md5_source() -> str:
         "# feedback additions.  Message words and the four incoming",
         "# state words are wildcarded, and the feedback additions fold",
         "# back onto those same state words; the sine-table",
-        "# addends and per-step rotations are concrete.  The rotate",
-        "# variant expects rotate instructions, shift-or the expanded",
-        "# equivalent, and rotate-fused covers compilers that prove",
-        "# the selector OR carry-free and lower it to addition.",
+        "# addends and per-step rotations are concrete.  The graph",
+        "# broker turns a shift-or pair into a rotation, and a selector",
+        "# whose OR was lowered to addition back into that OR, so this",
+        "# one variant also covers compilers that expand rotations or",
+        "# fuse the selector into the step additions, in any mix.",
         "",
         "IDENTIFIER MD5 compression",
         "",
     ]
-    lines += _md5_variant("rotate", rotate=True)
-    lines.append("")
-    lines += _md5_variant("shift-or", rotate=False)
-    lines.append("")
-    lines += _md5_variant("rotate-fused", rotate=True, fused=True)
+    lines += _md5_variant("rotate")
     return "\n".join(lines) + "\n"
 
 
