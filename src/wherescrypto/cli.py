@@ -14,10 +14,11 @@ from pathlib import Path
 from typing import Optional
 
 from .dfg import MASK32
-from .report import (FORMATS, AnalysisConfig, MalformedLineError,
-                     analyze_binary, emit_report, load_entries)
+from .report import (FORMATS, MalformedLineError, analyze_binary,
+                     emit_report, load_entries, parse_hex)
 from .siglib import SignatureFileError, builtin_names, load_catalog, \
     load_signature_dir, signature_source
+from .symexec import Config
 
 
 class _UsageError(Exception):
@@ -107,19 +108,15 @@ def main(argv=None) -> int:
     if not args.elf and args.entries is None:
         return _fail_usage("--entries is required for raw images")
     try:
-        base = int(args.base, 16)
+        base = parse_hex(args.base)
     except ValueError:
         return _fail_usage(f"--base expects a hex address, got {args.base!r}")
-    if not 0 <= base <= MASK32:
+    if base > MASK32:
         return _fail_usage(f"--base must be a 32-bit address, got "
                            f"{args.base!r}")
 
-    signature_paths = (args.signatures,) if args.signatures else ()
     try:
-        config = AnalysisConfig(n=args.n, depth=args.depth,
-                                timeout=args.timeout,
-                                signature_paths=signature_paths,
-                                output_format=args.format)
+        config = Config(n=args.n, depth=args.depth, timeout=args.timeout)
     except ValueError as exc:
         return _fail_usage(str(exc))
 
@@ -153,7 +150,8 @@ def main(argv=None) -> int:
     except (OSError, SignatureFileError) as exc:
         return _fail_io(exc)
 
-    report = analyze_binary(image, base, entries, config, corpus)
+    report = analyze_binary(image, base, entries, config, corpus,
+                            keep_graphs=args.format == "dot")
     payload = emit_report(report, args.format)
     try:
         if args.out:

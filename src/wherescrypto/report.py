@@ -20,6 +20,7 @@ graphs, which only DOT emission reads.  There is no JSON reader.
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
@@ -33,7 +34,6 @@ from .siglib import load_catalog
 from .symexec import Config, explore
 
 __all__ = [
-    "AnalysisConfig",
     "AnalysisReport",
     "BlockPermRecord",
     "FunctionResult",
@@ -44,13 +44,13 @@ __all__ = [
     "compute_totals",
     "emit_report",
     "load_entries",
+    "parse_hex",
     "report_to_dict",
-    "tool_version",
 ]
 
 FORMATS = ("json", "text", "dot")
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # the package version; pyproject.toml reads it from here
 VERSION = "0.1.0"
@@ -68,26 +68,6 @@ class MalformedLineError(ValueError):
         self.line = line
         self.text = text
         super().__init__(f"MALFORMED_LINE({line}): {text!r}")
-
-
-def tool_version() -> str:
-    return VERSION
-
-
-@dataclass(frozen=True)
-class AnalysisConfig(Config):
-    """Knobs for one batch run: the exploration settings of
-    `symexec.Config` (``timeout`` is only the wall-clock backstop to
-    the `symexec.STEP_BUDGET` that all paths of a function share),
-    plus where the signatures came from and the output format."""
-
-    signature_paths: tuple[str, ...] = ()
-    output_format: str = "json"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.output_format not in FORMATS:
-            raise UnknownFormatError(self.output_format)
 
 
 @dataclass
@@ -138,7 +118,7 @@ class FunctionResult:
     signatures: tuple[SignatureResult, ...] = ()
     block_permutation: tuple[BlockPermRecord, ...] = ()
     elapsed: float = field(default=0.0, compare=False)
-    # live graphs, kept only when the analysis is for DOT emission
+    # live graphs, kept only when the analysis asks to keep them
     dfgs: tuple[Dfg, ...] = field(default=(), compare=False, repr=False)
 
     @property
@@ -152,7 +132,7 @@ class AnalysisReport:
     one result per entry point."""
 
     version: str
-    config: AnalysisConfig
+    config: Config
     totals: dict[str, int]
     functions: tuple[FunctionResult, ...]
     wall_time: float = field(default=0.0, compare=False)
@@ -212,9 +192,8 @@ def _first_hit(variants: list[tuple[str, SignatureGraph]], graph: Dfg,
     return None
 
 
-def _analyze_function(image: bytes, base: int, entry: int,
-                      config: AnalysisConfig,
-                      built: BuiltCorpus) -> FunctionResult:
+def _analyze_function(image: bytes, base: int, entry: int, config: Config,
+                      built: BuiltCorpus, keep_graphs: bool) -> FunctionResult:
     start = time.perf_counter()
     try:
         paths = explore(entry, image, config, base=base)
@@ -257,29 +236,41 @@ def _analyze_function(image: bytes, base: int, entry: int,
         signatures=signatures,
         block_permutation=tuple(records),
         elapsed=time.perf_counter() - start,
-        dfgs=(tuple(p.graph for p in paths)
-              if config.output_format == "dot" else ()))
+        dfgs=tuple(p.graph for p in paths) if keep_graphs else ())
 
 
 def analyze_binary(image: bytes, base: int, entries: list[int],
-                   config: Optional[AnalysisConfig] = None,
+                   config: Optional[Config] = None,
                    corpus: Optional[dict[str, SignatureDoc]] = None,
-                   ) -> AnalysisReport:
+                   keep_graphs: bool = False) -> AnalysisReport:
     """Explores and matches every entry point; one failed function is
-    recorded in place and never aborts the batch."""
+    recorded in place and never aborts the batch.  ``keep_graphs``
+    keeps each function's graphs in its ``dfgs``, for DOT emission."""
     if config is None:
-        config = AnalysisConfig()
+        config = Config()
     built = _build_corpus(load_catalog() if corpus is None else corpus)
     start = time.perf_counter()
-    functions = tuple(_analyze_function(image, base, entry, config, built)
-                      for entry in entries)
+    functions = tuple(
+        _analyze_function(image, base, entry, config, built, keep_graphs)
+        for entry in entries)
     return AnalysisReport(
-        version=tool_version(),
+        version=VERSION,
         config=config,
         functions=functions,
         totals=compute_totals(functions),
         wall_time=time.perf_counter() - start,
         created=datetime.now(timezone.utc).isoformat())
+
+
+_HEX = re.compile(r"(?:0[xX])?[0-9a-fA-F]+")
+
+
+def parse_hex(text: str) -> int:
+    """ASCII hex digits with an optional 0x or 0X prefix, and nothing
+    else: no sign, underscore, space or non-ASCII digit."""
+    if _HEX.fullmatch(text) is None:
+        raise ValueError(f"not a hex number: {text!r}")
+    return int(text, 16)
 
 
 def load_entries(path) -> list[int]:
@@ -292,10 +283,10 @@ def load_entries(path) -> list[int]:
             if not text:
                 continue
             try:
-                value = int(text, 16)
+                value = parse_hex(text)
             except ValueError:
                 raise MalformedLineError(number, text) from None
-            if not 0 <= value <= MASK32:        # an A32 address
+            if value > MASK32:                  # an A32 address
                 raise MalformedLineError(number, text)
             addresses.add(value)
     return sorted(addresses)
@@ -344,7 +335,7 @@ def _emit_text(report: AnalysisReport) -> bytes:
     lines = [
         f"wherescrypto {report.version}",
         f"config: n={config.n} depth={config.depth} "
-        f"timeout={config.timeout:g}s fork_cap={config.fork_cap}",
+        f"timeout={config.timeout:g}s",
         "",
     ]
     for fn in report.functions:
@@ -376,6 +367,11 @@ def _emit_text(report: AnalysisReport) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _quoted(text: str) -> str:
+    """`text` as a DOT quoted string: backslash and quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _dot_label(node) -> str:
     if node.kind is NodeKind.CONST:
         return f"0x{node.const_value:x}"
@@ -385,10 +381,9 @@ def _dot_label(node) -> str:
 
 
 def _emit_dot(report: AnalysisReport) -> bytes:
-    if report.config.output_format != "dot":
-        # the analysis kept no graphs to draw
-        raise ValueError("DOT needs an analysis run with "
-                         "output_format='dot'")
+    if any(fn.error is None and fn.graphs and not fn.dfgs
+           for fn in report.functions):
+        raise ValueError("DOT needs an analysis run with keep_graphs=True")
     lines = []
     for fn in report.functions:
         if fn.error is not None:
@@ -403,16 +398,17 @@ def _emit_dot(report: AnalysisReport) -> bytes:
                 per_graph.setdefault(target_ref, []).append(
                     f"{s.name}/{s.variant}")
         for index, graph in enumerate(fn.dfgs):
-            lines.append(f'digraph "f_0x{fn.entry:x}_g{index}" {{')
+            name = _quoted(f"f_0x{fn.entry:x}_g{index}")
+            lines.append(f"digraph {name} {{")
             marked = annotations.get(index, {})
             for ref in sorted(graph.nodes):
                 node = graph.nodes[ref]
-                attrs = [f'label="{_dot_label(node)}"']
+                attrs = [f"label={_quoted(_dot_label(node))}"]
                 if ref in marked:
                     tags = ",".join(sorted(set(marked[ref])))
                     attrs.append('style=filled')
                     attrs.append('fillcolor="#f4cccc"')
-                    attrs.append(f'match="{tags}"')
+                    attrs.append(f"match={_quoted(tags)}")
                 lines.append(f"  n{ref} [{', '.join(attrs)}];")
             for ref in sorted(graph.nodes):
                 for source in graph.nodes[ref].inputs:

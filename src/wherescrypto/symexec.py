@@ -205,23 +205,25 @@ def oracle_query(e: int, backlog: dict[int, list[bool]],
 # Instructions one `explore` call may step, summed over all its paths.
 STEP_BUDGET = 100_000
 
+# Live states beyond which underdetermined branches stop forking.
+FORK_CAP = 64
+
 
 @dataclass(frozen=True)
 class Config:
     """Exploration settings for one function.
 
-    ``n`` is the loop iteration target handed to the path oracle,
-    ``depth`` the call inlining budget and ``fork_cap`` the number of
-    live states beyond which underdetermined branches stop forking.
-    The work is bounded by `STEP_BUDGET` instructions shared by all
-    paths of the function; ``timeout`` is only a wall-clock backstop,
-    a deadline of that many seconds for all of its paths together.
+    ``n`` is the loop iteration target handed to the path oracle and
+    ``depth`` the call inlining budget.  The work is bounded by
+    `STEP_BUDGET` instructions shared by all paths of the function,
+    and forking by `FORK_CAP` live states; ``timeout`` is only a
+    wall-clock backstop, a deadline of that many seconds for all of
+    its paths together.
     """
 
     n: int = 4
     depth: int = 2
     timeout: float = 10.0
-    fork_cap: int = 64
 
     def __post_init__(self):
         if self.n < 1:
@@ -293,9 +295,8 @@ class PathResult:
 
 
 def handle_conditional(state: ExecState, e: int,
-                       comparison: tuple[NodeRef, str, NodeRef],
-                       n: int, live_count: int,
-                       fork_cap: int) -> list[tuple[ExecState, bool]]:
+                       comparison: tuple[NodeRef, str, NodeRef], n: int,
+                       live_count: int) -> list[tuple[ExecState, bool]]:
     """Algorithm: determined conditions follow the forced value with no
     backlog entry; underdetermined ones ask the oracle.  The sides of
     ``comparison`` are values (`dfg.Dfg.is_const`), one of them at
@@ -312,7 +313,7 @@ def handle_conditional(state: ExecState, e: int,
         return [(state, False)]
 
     decision = oracle_query(e, state.backlog, n)
-    if decision is _TAKE_BOTH and live_count >= fork_cap:
+    if decision is _TAKE_BOTH and live_count >= FORK_CAP:
         decision = _TAKE_FALSE
         state.flags.add("fork cap reached")
 
@@ -434,8 +435,7 @@ class Explorer:
                         state.steps = steps
                         pairs = handle_conditional(
                             state, state.pc, (v1, op, v2), self.config.n,
-                            live_count=len(stack) + 1,
-                            fork_cap=self.config.fork_cap)
+                            live_count=len(stack) + 1)
                         if not pairs:                       # dead state
                             self._steps_left = limit - steps
                             return

@@ -35,7 +35,7 @@ from wherescrypto import cli
 from wherescrypto.asm import assemble
 from wherescrypto.dfg import Dfg, NodeKind
 from wherescrypto.matcher import match_signature
-from wherescrypto.report import AnalysisConfig, analyze_binary
+from wherescrypto.report import analyze_binary
 from wherescrypto.siglib import load_builtin, load_catalog
 from wherescrypto.symexec import Config, Status, explore
 
@@ -265,7 +265,7 @@ def test_criterion_5_reference_ciphers_all_compilers(toolchain):
                                            compiler)
                 entry = loaded.functions[symbol]
                 rep = analyze_binary(loaded.image, loaded.base,
-                                     [entry], AnalysisConfig(), corpus)
+                                     [entry], Config(), corpus)
                 fn = rep.functions[0]
                 label = f"{source}/{compiler}/{opt}"
                 if fn.error or not fn.matched_signatures:
@@ -295,7 +295,7 @@ def test_criterion_6_class_detection_and_controls(toolchain):
         loaded = toolchain.compile(FIXTURES / source, opt, compiler)
         entries = sorted(loaded.functions[s] for s in symbols)
         return analyze_binary(loaded.image, loaded.base, entries,
-                              AnalysisConfig(), catalog)
+                              Config(), catalog)
 
     for compiler in compilers:
         for opt in ("O0", "O2"):
@@ -343,7 +343,7 @@ def test_criterion_7_add_variant_feistel_not_matched(toolchain):
                                        compiler)
             entry = loaded.functions["rc2_rounds"]
             rep = analyze_binary(loaded.image, loaded.base, [entry],
-                                 AnalysisConfig(), catalog)
+                                 Config(), catalog)
             fn = rep.functions[0]
             assert fn.error is None
             feistel = [s for s in fn.signatures if s.name == "feistel"]

@@ -49,8 +49,8 @@ def run_json(image, entries, out, extra=()):
 def test_json_run_matches_lfsr(workspace):
     root, image, entries = workspace
     data = run_json(image, entries, root / "report.json")
-    assert data["schema"] == 1
-    assert data["config"]["n"] == 4
+    assert data["schema"] == 2
+    assert data["config"] == {"n": 4, "depth": 2, "timeout": 10.0}
     (fn,) = data["functions"]
     assert fn["entry"] == "0x0"
     by_name = {s["name"]: s for s in fn["signatures"]}
@@ -178,6 +178,22 @@ def test_dumped_signatures_reload(workspace, tmp_path):
     assert by_name["nlfsr"]["matched"] is True
 
 
+def test_signature_dir_spelling_leaves_the_report_alone(workspace, tmp_path,
+                                                         monkeypatch):
+    # the report depends on the signatures read, not on how their
+    # directory was named
+    root, image, entries = workspace
+    assert main(["--dump-signatures", str(tmp_path / "sigs")]) == 0
+    monkeypatch.chdir(tmp_path)
+    bodies = []
+    for spelling in ("sigs", "./sigs/", str(tmp_path / "sigs")):
+        data = run_json(image, entries, root / "spelling.json",
+                        extra=["--signatures", spelling])
+        data.pop("timestamp")
+        bodies.append(json.dumps(data, indent=2))
+    assert bodies[0] == bodies[1] == bodies[2]
+
+
 def test_usage_errors_exit_1(workspace, capsys):
     _root, image, entries = workspace
     assert main([]) == 1
@@ -249,6 +265,19 @@ def test_base_above_32_bits_exits_1(workspace, capsys):
     assert main(["--image", str(image), "--entries", str(entries),
                  "--base", "100000000"]) == 1
     assert "--base" in capsys.readouterr().err
+
+
+def test_base_reads_only_ascii_hex(workspace, capsys):
+    root, image, entries = workspace
+    # int(text, 16) reads every one of these as a number
+    for base in ("+0", "-0", "0_0", "0x_0", " 0", "\uff10", "\u0660"):
+        assert main(["--image", str(image), "--entries", str(entries),
+                     "--base", base]) == 1, base
+        assert "--base" in capsys.readouterr().err
+    for base in ("0", "0x0", "0X00"):
+        data = run_json(image, entries, root / "base.json",
+                        extra=["--base", base])
+        assert data["functions"][0]["entry"] == "0x0"
 
 
 def test_image_ending_past_32_bits_exits_1(workspace, tmp_path, capsys):

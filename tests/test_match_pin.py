@@ -27,10 +27,10 @@ from pathlib import Path
 
 import pytest
 
-from wherescrypto.report import (AnalysisConfig, analyze_binary,
-                                 report_to_dict)
+from wherescrypto.report import analyze_binary, report_to_dict
 from wherescrypto.sigdsl import _build, build_variant
 from wherescrypto.siglib import load_catalog
+from wherescrypto.symexec import Config
 
 ROOT = Path(__file__).resolve().parent.parent
 PIN = Path(__file__).parent / "fixtures" / "match_pin.json"
@@ -60,8 +60,7 @@ def _scan(workload: str = "crypto-unrolled", seed: int = SEED):
     over them with the built-in catalog."""
     bench = _bench_corpus()
     corpus = bench.generate(workload, seed)
-    config = AnalysisConfig(n=corpus.n, depth=bench.DEPTH,
-                            timeout=bench.TIMEOUT)
+    config = Config(n=corpus.n, depth=bench.DEPTH, timeout=bench.TIMEOUT)
     names = sorted(corpus.entries, key=corpus.entries.get)
     return names, analyze_binary(corpus.image, corpus.base,
                                  [corpus.entries[n] for n in names], config)

@@ -3,7 +3,9 @@
 import hashlib
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,18 +13,19 @@ from hypothesis import strategies as st
 
 import wherescrypto.report as report_mod
 from wherescrypto.report import (
-    AnalysisConfig,
     MalformedLineError,
     UnknownFormatError,
     analyze_binary,
     compute_totals,
     emit_report,
     load_entries,
+    report_to_dict,
 )
 from wherescrypto.asm import assemble, label_addresses
 from wherescrypto.matcher import match_signature
-from wherescrypto.sigdsl import build_variant
-from wherescrypto.siglib import load_builtin, load_catalog
+from wherescrypto.sigdsl import build_variant, parse
+from wherescrypto.siglib import load_builtin, load_catalog, signature_source
+from wherescrypto.symexec import FORK_CAP, Config
 
 # A 4-round Galois-style LFSR with the feedback computed inline:
 # bit = (state ^ (state >> 3)) & 1; state = bit | (state << 1).
@@ -106,22 +109,17 @@ def strip(fn):
 # --- configuration -----------------------------------------------------
 
 def test_config_defaults():
-    config = AnalysisConfig()
-    assert (config.n, config.depth, config.timeout, config.fork_cap) == \
+    # the exploration settings are the whole config: the fork cap is a
+    # constant, and the output format never reaches the analysis
+    config = Config()
+    assert [f.name for f in fields(Config)] == ["n", "depth", "timeout"]
+    assert (config.n, config.depth, config.timeout, FORK_CAP) == \
         (4, 2, 10.0, 64)
-    assert (config.signature_paths, config.output_format) == ((), "json")
-
-
-def test_config_rejects_bad_values():
-    with pytest.raises(ValueError):
-        AnalysisConfig(n=0)
-    with pytest.raises(ValueError):
-        AnalysisConfig(depth=-1)
-    for timeout in (0, float("nan"), float("inf"), float("1e309")):
-        with pytest.raises(ValueError):
-            AnalysisConfig(timeout=timeout)
-    with pytest.raises(UnknownFormatError):
-        AnalysisConfig(output_format="yaml")
+    rep = analyze_binary(b"", 0, [])
+    assert rep.config == config
+    body = json.loads(emit_report(rep, "json"))
+    assert (body["schema"], body["config"]) == \
+        (2, {"n": 4, "depth": 2, "timeout": 10.0})
 
 
 # --- entry point files -------------------------------------------------
@@ -133,8 +131,8 @@ def entries_file(tmp_path, text):
 
 
 def test_load_entries_basic(tmp_path):
-    path = entries_file(tmp_path, "0x1000\n0x1040\n")
-    assert load_entries(path) == [0x1000, 0x1040]
+    path = entries_file(tmp_path, "0x1000\n0X1040\nAbC\n")
+    assert load_entries(path) == [0xabc, 0x1000, 0x1040]
 
 
 def test_load_entries_sorts_and_dedups(tmp_path):
@@ -153,6 +151,13 @@ def test_load_entries_malformed(tmp_path):
         load_entries(path)
     assert info.value.line == 2
     assert "MALFORMED_LINE(2)" in str(info.value)
+    # only ASCII hex digits after an optional 0x: int(text, 16) reads
+    # each of these as a number
+    for bad in ("+10", "-0", "1_0", "0x_10", "\uff11\uff10", "\u0661"):
+        path.write_text(f"0x10\n{bad}\n", encoding="utf-8")
+        with pytest.raises(MalformedLineError) as info:
+            load_entries(path)
+        assert info.value.line == 2, bad
 
 
 def test_load_entries_rejects_negative(tmp_path):
@@ -230,10 +235,10 @@ LFSR_BRANCHES = ("entry:\n    cmp r1, #0\n    beq plain\n"
 
 
 def test_exemplar_comes_from_the_first_hitting_graph(nlfsr_corpus):
-    # a DOT analysis keeps the graphs the exemplar was found in
+    # an analysis that keeps its graphs has the one the exemplar was
+    # found in
     rep = analyze_binary(assemble(LFSR_BRANCHES), 0, [0],
-                         AnalysisConfig(output_format="dot"),
-                         corpus=nlfsr_corpus)
+                         corpus=nlfsr_corpus, keep_graphs=True)
     (fn,) = rep.functions
     (sig,) = fn.signatures
     assert fn.statuses == ("COMPLETE", "COMPLETE")
@@ -263,7 +268,7 @@ def test_callee_round_needs_inlining(nlfsr_corpus):
     image = assemble(LFSR_CALLEE)
 
     def matched(depth):
-        config = AnalysisConfig(depth=depth)
+        config = Config(depth=depth)
         rep = analyze_binary(image, 0, [0], config, nlfsr_corpus)
         return rep.functions[0].signatures[0].matched
 
@@ -307,7 +312,7 @@ plain:
 
 
 def test_exemplar_golden_without_toolchain():
-    report = analyze_binary(assemble(LADDER), 0, [0], AnalysisConfig())
+    report = analyze_binary(assemble(LADDER), 0, [0], Config())
     (fn,) = report.functions
     assert fn.statuses == ("COMPLETE", "COMPLETE")
     by_name = {s.name: s for s in fn.signatures}
@@ -355,11 +360,14 @@ def test_exploration_error_is_recorded(monkeypatch, nlfsr_corpus):
 GOLDEN_BODY = Path(__file__).parent / "fixtures" / "report_body.json"
 
 
-def golden_body(monkeypatch) -> str:
+def golden_body() -> str:
     """The JSON body of a report with a matched exemplar, a block
     permutation record and a failed function, without `timestamp` and
     without `version`, which is the package's own and so would change
-    the fixture on every release."""
+    the fixture on every release.
+
+    After an intended change to the report body, regenerate the fixture
+    with ``PYTHONPATH=src python tests/test_report.py``."""
     text = LADDER + MDTOY + LEAF
     labels = label_addresses(text)
     entries = [labels["ladder"], labels["mdtoy"], labels["leaf"]]
@@ -370,17 +378,17 @@ def golden_body(monkeypatch) -> str:
             raise RuntimeError("injected failure")
         return real(entry, image, config, base=base)
 
-    monkeypatch.setattr(report_mod, "explore", explore)
-    config = AnalysisConfig(signature_paths=("sigs",))
-    rep = analyze_binary(assemble(text), 0, entries, config, load_catalog())
+    with mock.patch.object(report_mod, "explore", explore):
+        rep = analyze_binary(assemble(text), 0, entries, Config(),
+                             load_catalog())
     data = json.loads(emit_report(rep, "json"))
     assert data["version"] == report_mod.VERSION
     del data["timestamp"], data["version"]
     return json.dumps(data, indent=2) + "\n"
 
 
-def test_json_body_golden(monkeypatch):
-    assert golden_body(monkeypatch) == GOLDEN_BODY.read_text()
+def test_json_body_golden():
+    assert golden_body() == GOLDEN_BODY.read_text()
 
 
 def test_empty_entries(nlfsr_corpus):
@@ -389,7 +397,7 @@ def test_empty_entries(nlfsr_corpus):
     assert rep.totals["functions"] == 0
     data = json.loads(emit_report(rep, "json"))
     assert data["functions"] == []
-    assert data["schema"] == 1
+    assert data["schema"] == 2
 
 
 # --- emission ----------------------------------------------------------
@@ -450,18 +458,20 @@ def test_text_block_permutation_records():
 
 
 def test_only_a_dot_analysis_keeps_graphs(nlfsr_corpus):
-    # a JSON or text analysis keeps no graph and cannot be drawn; the
-    # DOT of a DOT analysis is pinned by its hash (both graphs, the
-    # exemplar's nodes filled)
+    # an analysis that keeps no graph cannot be drawn, though its JSON
+    # body is the same; the DOT of one that keeps them is pinned
+    # by its hash (both graphs, the exemplar's nodes filled)
     image = assemble(LFSR_BRANCHES)
-    for fmt in ("json", "text"):
-        rep = analyze_binary(image, 0, [0], AnalysisConfig(output_format=fmt),
-                             corpus=nlfsr_corpus)
-        assert [fn.dfgs for fn in rep.functions] == [()]
-        with pytest.raises(ValueError):
-            emit_report(rep, "dot")
-    rep = analyze_binary(image, 0, [0], AnalysisConfig(output_format="dot"),
-                         corpus=nlfsr_corpus)
+    bare = analyze_binary(image, 0, [0], corpus=nlfsr_corpus)
+    assert [fn.dfgs for fn in bare.functions] == [()]
+    with pytest.raises(ValueError):
+        emit_report(bare, "dot")
+    rep = analyze_binary(image, 0, [0], corpus=nlfsr_corpus,
+                         keep_graphs=True)
+    bodies = [report_to_dict(r) for r in (bare, rep)]
+    for body in bodies:
+        body.pop("timestamp")
+    assert bodies[0] == bodies[1]
     assert [len(fn.dfgs) for fn in rep.functions] == [2]
     assert hashlib.sha256(emit_report(rep, "dot")).hexdigest() == \
         "d6a410aad92dd37cbfe98f2a9a530c0e3bdc4cd1953940970e7df324e8a4bdba"
@@ -469,8 +479,7 @@ def test_only_a_dot_analysis_keeps_graphs(nlfsr_corpus):
 
 def test_dot_counts_nodes_and_edges():
     image = assemble("and r0, r0, #255\nbx lr\n")
-    rep = analyze_binary(image, 0, [0], AnalysisConfig(output_format="dot"),
-                         corpus={})
+    rep = analyze_binary(image, 0, [0], corpus={}, keep_graphs=True)
     dot = emit_report(rep, "dot").decode()
     assert dot.count("digraph") == 1
     node_lines = re.findall(r"^  n\d+ \[", dot, flags=re.M)
@@ -482,15 +491,35 @@ def test_dot_counts_nodes_and_edges():
 
 
 def test_dot_annotates_matched_nodes(lfsr_image, nlfsr_corpus):
-    rep = analyze_binary(lfsr_image, 0, [0],
-                         AnalysisConfig(output_format="dot"),
-                         corpus=nlfsr_corpus)
+    rep = analyze_binary(lfsr_image, 0, [0], corpus=nlfsr_corpus,
+                         keep_graphs=True)
     dot = emit_report(rep, "dot").decode()
     assert 'match="nlfsr/C"' in dot
     assert "fillcolor" in dot
+
+
+def test_dot_escapes_quotes_and_backslashes(lfsr_image):
+    # a header name may hold any printable character
+    source = signature_source("nlfsr").replace(
+        "VARIANT C\n", 'VARIANT a"b\\c\n')
+    rep = analyze_binary(lfsr_image, 0, [0], corpus={"x": parse(source)},
+                         keep_graphs=True)
+    assert rep.functions[0].signatures[0].variant == 'a"b\\c'
+    dot = emit_report(rep, "dot").decode()
+    assert 'match="x/a\\"b\\\\c"' in dot
+    # every quoted string ends at an unescaped quote
+    quoted = r'"(?:[^"\\]|\\.)*"'
+    attr = rf"\w+=(?:{quoted}|\w+)"
+    for line in dot.splitlines()[1:-1]:
+        assert re.fullmatch(rf"  n\d+ \[{attr}(?:, {attr})*\];|"
+                            r"  n\d+ -> n\d+;", line), line
 
 
 def test_unknown_format(lfsr_image, nlfsr_corpus):
     rep = analyze_binary(lfsr_image, 0, [0], corpus=nlfsr_corpus)
     with pytest.raises(UnknownFormatError):
         emit_report(rep, "yaml")
+
+
+if __name__ == "__main__":
+    GOLDEN_BODY.write_text(golden_body())

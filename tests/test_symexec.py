@@ -321,8 +321,7 @@ def test_handle_conditional_determined_skips_backlog():
     zero = g.request_constant(0)
     cond = Condition(r8, "<=", zero)
     st.path_condition.extend(g, cond, True)
-    out = handle_conditional(st, 0x20, cond, n=4, live_count=1,
-                             fork_cap=64)
+    out = handle_conditional(st, 0x20, cond, n=4, live_count=1)
     assert out == [(st, True)]
     assert st.backlog == {}
 
@@ -331,8 +330,7 @@ def test_handle_conditional_forks_both():
     st = _state_for_conditional()
     g = st.graph
     cond = Condition(st.regs["R8"], "<=", g.request_constant(0))
-    out = handle_conditional(st, 0x20, cond, n=4, live_count=1,
-                             fork_cap=64)
+    out = handle_conditional(st, 0x20, cond, n=4, live_count=1)
     assert len(out) == 2
     values = [v for _, v in out]
     assert values == [True, False]
@@ -349,8 +347,7 @@ def test_handle_conditional_drops_contradicted_arm():
     st.path_condition.extend(g, c(">=", 4), True)
     st.path_condition.extend(g, c("<=", 5), True)
     st.path_condition.extend(g, c("==", 4), False)
-    out = handle_conditional(st, 0x20, c("==", 5), n=4, live_count=1,
-                             fork_cap=64)
+    out = handle_conditional(st, 0x20, c("==", 5), n=4, live_count=1)
     assert len(out) == 1
     assert out[0][1] is True
 
@@ -359,8 +356,8 @@ def test_fork_cap_forces_false():
     st = _state_for_conditional()
     g = st.graph
     cond = Condition(st.regs["R8"], "<=", g.request_constant(0))
-    out = handle_conditional(st, 0x20, cond, n=4, live_count=64,
-                             fork_cap=64)
+    out = handle_conditional(st, 0x20, cond, n=4,
+                             live_count=symexec.FORK_CAP)
     assert [v for _, v in out] == [False]
     assert "fork cap reached" in st.flags
 
@@ -499,15 +496,16 @@ def test_forked_paths_abort_on_same_undecodable_word(monkeypatch):
     assert decoded.count(0xc) == 2
 
 
-def test_conditional_that_leaves_no_live_state_ends_the_path():
-    # fork_cap=1 makes every undetermined guard take its false side
+def test_conditional_that_leaves_no_live_state_ends_the_path(monkeypatch):
+    # a fork cap of 1 makes every undetermined guard take its false side
     # alone.  The first three leave R0 in [0, 1] with 0 excluded; the
     # fourth's false side, R0 != 1, excludes the rest, so the step loop
     # is left with no state and the path ends without a result
     image = assemble("cmp r0, #0\nblt out\ncmp r0, #1\nbgt out\n"
                      "cmp r0, #0\nbeq out\ncmp r0, #1\nbeq out\n"
                      "mov r0, #7\nout: bx lr")
-    explorer = symexec.Explorer(image, config=Config(fork_cap=1, timeout=2))
+    monkeypatch.setattr(symexec, "FORK_CAP", 1)
+    explorer = symexec.Explorer(image, config=Config(timeout=2))
     assert explorer.explore(0) == []
     # the eight steps up to the dead guard still count against the budget
     assert explorer._steps_left == symexec.STEP_BUDGET - 8
@@ -877,7 +875,7 @@ def test_explore_wall_clock_timeout():
     assert r.status is Status.TIMEOUT
 
 
-def test_fork_cap_bounds_live_states():
+def test_fork_cap_bounds_live_states(monkeypatch):
     # independent conditions on distinct registers keep every arm
     # underdetermined, so the depth-first frontier really grows
     lines = []
@@ -888,7 +886,8 @@ def test_fork_cap_bounds_live_states():
     lines.append("mov r0, #0")
     lines.append("bx lr")
     image = assemble("\n".join(lines))
-    results = explore(0, image, Config(timeout=10, fork_cap=8))
+    monkeypatch.setattr(symexec, "FORK_CAP", 8)
+    results = explore(0, image, Config(timeout=10))
     assert any("fork cap reached" in r.flags for r in results)
     assert all(r.status is Status.COMPLETE for r in results)
     assert 8 <= len(results) < 2 ** 13
@@ -960,7 +959,7 @@ def test_evaluate_two_constants_is_signed_comparison(op, x, y, known):
     # decided outright, so following it adds no fact and no backlog
     facts = dict(state.path_condition.facts)
     assert handle_conditional(state, 0x20, Condition(a, op, b), n=4,
-                              live_count=1, fork_cap=64) == [(state, holds)]
+                              live_count=1) == [(state, holds)]
     assert state.path_condition.facts == facts and state.backlog == {}
 
 
