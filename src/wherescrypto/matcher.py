@@ -70,10 +70,15 @@ def _inputs_ok(sig: SignatureGraph, s_ref: NodeRef, s: Node, t: Node,
                m: dict[NodeRef, NodeRef]) -> bool:
     mapped = [m[i] for i in s.inputs]
     if not _ordered(s):
-        want = Counter(mapped)
-        have = Counter(t.inputs)
-        if any(have[r] < c for r, c in want.items()):
-            return False
+        want = set(mapped)
+        if len(want) == len(mapped):
+            # no input repeats: multiset containment is set containment
+            if not want.issubset(t.inputs):
+                return False
+        else:
+            have = Counter(t.inputs)
+            if any(have[r] < c for r, c in Counter(mapped).items()):
+                return False
         if _subset_arity(sig, s_ref, s):
             return len(t.inputs) >= len(s.inputs)
         return len(t.inputs) == len(s.inputs)
@@ -128,16 +133,24 @@ _SPARSE = 16
 class _Table:
     """One neighbor relation over a target graph: `rows[i]` is the set
     of nodes related to node i.  `union(mask)` ORs the rows of the nodes
-    in `mask`.  A dense mask is read a byte at a time: `blocks[b]` maps
-    the byte value of bits 8b..8b+7 to the union of those rows, and is
-    filled the first time that value is asked for."""
+    in `mask`, and keeps each result in `memo`, keyed by mask, for as
+    long as the table lives.  A dense mask is read a byte at a time:
+    `blocks[b]` maps the byte value of bits 8b..8b+7 to the union of
+    those rows, and is filled the first time that value is asked for."""
 
     def __init__(self, rows: list[int]):
         self.rows = rows
         self.width = (len(rows) + 7) // 8
         self.blocks: list[dict[int, int]] = [{} for _ in range(self.width)]
+        self.memo: dict[int, int] = {}
 
     def union(self, mask: int) -> int:
+        out = self.memo.get(mask)
+        if out is None:
+            out = self.memo[mask] = self._union(mask)
+        return out
+
+    def _union(self, mask: int) -> int:
         out = 0
         rows = self.rows
         if mask.bit_count() <= _SPARSE:
@@ -326,7 +339,14 @@ def _refine(links: _Links, cands: dict[NodeRef, int]) -> bool:
     neighbor domain is checked candidate by candidate; otherwise it is
     intersected with the union of the neighbor's support rows
     (`_Table.union`).  Both keep exactly the candidates with a
-    compatible neighbor."""
+    compatible neighbor.
+
+    A neighbor down to one candidate u can only lose u, and that ends
+    refinement; so when a node shrinks, such a neighbor that is not
+    queued is checked against it at once instead of being queued.  The
+    node has just been checked against that neighbor's present domain,
+    so the check holds while the node has a candidate; it stands in for
+    the neighbor's pop, so the fixpoint does not rest on that argument."""
     queue = deque(sorted(cands))
     # queued node -> the neighbors that shrank since its last check,
     # or None to check them all
@@ -353,8 +373,13 @@ def _refine(links: _Links, cands: dict[NodeRef, int]) -> bool:
                 return False
         if dom != cands[s_ref]:
             cands[s_ref] = dom
-            for nbr, _, _ in links[s_ref]:
+            for nbr, _, theirs in links[s_ref]:
                 if nbr not in changed:
+                    other = cands[nbr]
+                    if other.bit_count() == 1:
+                        if not theirs.rows[other.bit_length() - 1] & dom:
+                            return False
+                        continue
                     changed[nbr] = {s_ref}
                     queue.append(nbr)
                 elif changed[nbr] is not None:
@@ -468,7 +493,9 @@ def match_signature(sig: SignatureGraph, target: Dfg,
     across the signatures matched into the same graph, or leave it out
     to have one built for this call.  Refinement intersects those
     domains with the index's neighbor masks, and the search then
-    backtracks over them in ascending target order.
+    backtracks over them in ascending target order.  When refinement
+    leaves every domain a single target, there is no search: that one
+    assignment is checked with `_assignment_ok`.
 
     Returns up to `limit` mappings; an empty list means no embedding
     exists."""
@@ -486,6 +513,10 @@ def match_signature(sig: SignatureGraph, target: Dfg,
     links = _links(sig, index)
     if not _refine(links, cands):
         return []
+    if limit >= 1 and all(d.bit_count() == 1 for d in cands.values()):
+        mapping = _assignment_ok(sig, target, {
+            s: index.refs[cands[s].bit_length() - 1] for s in sorted(cands)})
+        return [] if mapping is None else [mapping]
     return list(_search(sig, index, links, cands, limit))
 
 

@@ -274,12 +274,14 @@ def parse_hex(text: str) -> int:
 
 
 def load_entries(path) -> list[int]:
-    """One hex address below 2^32 per line; '#' starts a comment;
-    blank lines ignored.  Result is sorted and deduplicated."""
+    """One hex address below 2^32 per line, with ASCII blanks around
+    it; '#' starts a comment; blank lines ignored.  Any other character,
+    Unicode whitespace included, makes the line malformed.  Result is
+    sorted and deduplicated."""
     addresses = set()
     with open(path, "r", encoding="utf-8") as handle:
         for number, raw in enumerate(handle, start=1):
-            text = raw.split("#", 1)[0].strip()
+            text = raw.split("#", 1)[0].strip(" \t\n\r\v\f")
             if not text:
                 continue
             try:

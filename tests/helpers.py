@@ -1,7 +1,8 @@
 """Shared test utilities: randomized sequences of broker requests, a
 form of a graph that ignores node numbering, signature/target pair
 generators for the matcher-versus-oracle battery,
-the exhaustive matching oracle, a plain reference matcher with
+the exhaustive matching oracle, the input conjunct of the match
+predicate counted with `Counter`, a plain reference matcher with
 generators for large targets, the classifier's path search restated,
 the branch-per-operator interval judge
 that `symexec._judge_interval` restates, the rescanning path
@@ -20,6 +21,7 @@ tests instead.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import partial
 from typing import Optional
 
@@ -347,6 +349,26 @@ def brute_force_match(sig: SignatureGraph,
 
     place(0)
     return out
+
+
+def counter_inputs_ok(sig: SignatureGraph, s_ref: int, s: Node, t: Node,
+                      m: dict[int, int]) -> bool:
+    """`matcher._inputs_ok` as it was before it learned to skip the
+    counting when no input repeats: unordered inputs are compared as
+    multisets with `Counter` in every case.  Both the oracle and the
+    matcher accept mappings through `_inputs_ok`, so this copy is what
+    holds that conjunct to its definition."""
+    mapped = [m[i] for i in s.inputs]
+    if not _ordered(s):
+        want = Counter(mapped)
+        have = Counter(t.inputs)
+        if any(have[r] < c for r, c in want.items()):
+            return False
+        if _subset_arity(sig, s_ref, s):
+            return len(t.inputs) >= len(s.inputs)
+        return len(t.inputs) == len(s.inputs)
+    # ordered operation: positional correspondence
+    return tuple(mapped) == t.inputs
 
 
 # ----------------------------------------------------------------------

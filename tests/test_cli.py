@@ -260,6 +260,20 @@ def test_entry_above_32_bits_exits_2(workspace, tmp_path, capsys):
     assert report.load_entries(path) == [0xffffffff]
 
 
+def test_entry_with_a_unicode_blank_exits_2(workspace, tmp_path, capsys):
+    # str.strip() would take each of these as 0x10; only ASCII blanks
+    # may surround an entry, as `--base` takes none
+    _root, image, _entries = workspace
+    path = tmp_path / "blank.txt"
+    for line in ("\u30000x10", "\x1c0x10", "0x10\u0085", "0x10\u00a0"):
+        path.write_text(f"0x0\n{line}\n", encoding="utf-8")
+        assert main(["--image", str(image), "--entries", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "MALFORMED_LINE(2)" in err, repr(line)
+    path.write_text(" \t0x10\v\f # ASCII blanks\r\n")
+    assert report.load_entries(path) == [0x10]
+
+
 def test_base_above_32_bits_exits_1(workspace, capsys):
     _root, image, entries = workspace
     assert main(["--image", str(image), "--entries", str(entries),

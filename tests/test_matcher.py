@@ -13,11 +13,11 @@ from collections import Counter
 import pytest
 
 from helpers import (SizeLimitError, brute_force_match, chain_signature,
-                     copies_target, random_signature, random_target,
-                     reference_bfs_path, reference_domains,
+                     copies_target, counter_inputs_ok, random_signature,
+                     random_target, reference_bfs_path, reference_domains,
                      reference_initial_domains, reference_match)
 from wherescrypto.asm import assemble
-from wherescrypto.dfg import COMMUTATIVE, Dfg, NodeKind
+from wherescrypto.dfg import COMMUTATIVE, Dfg, Node, NodeKind
 from wherescrypto.matcher import (
     BlockPermReport,
     TargetIndex,
@@ -25,6 +25,7 @@ from wherescrypto.matcher import (
     _bfs_path,
     _consumers,
     _initial_candidates,
+    _inputs_ok,
     _links,
     _refine,
     classify_block_permutation,
@@ -59,6 +60,15 @@ def keys(mappings):
 
 def op(g: Dfg, kind: NodeKind, *refs: int) -> int:
     return g.request_operation(kind, refs)
+
+
+def decided(sig: SignatureGraph, target: Dfg) -> bool:
+    """Whether refinement leaves every domain a single target, so that
+    `match_signature` checks that one assignment instead of searching."""
+    index = TargetIndex(target)
+    cands = _initial_candidates(sig, index)
+    return (cands is not None and _refine(_links(sig, index), cands)
+            and all(c.bit_count() == 1 for c in cands.values()))
 
 
 # -------------------------------------------------- directed matches
@@ -421,17 +431,149 @@ def test_long_chain_self_match_agrees_with_reference():
 
 def test_matching_leaves_no_cycle_holding_the_index():
     # the report keeps one index alive at a time; a reference cycle
-    # through the search would keep each until a cyclic collection
-    sig = sig_from(SHIFT_REGISTER)
-    index = TargetIndex(sig.graph)
-    alive = weakref.ref(index)
-    gc.disable()
-    try:
-        assert match_signature(sig, sig.graph, index=index)
-        del index
-        assert alive() is None
-    finally:
-        gc.enable()
+    # through the search, or through the check that replaces it once
+    # refinement has decided, would keep each until a cyclic collection
+    searched = sig_from(SHIFT_REGISTER)
+    checked = chain_signature(random.Random(7), 40)
+    assert not decided(searched, searched.graph)
+    assert decided(checked, checked.graph)
+    for sig in (searched, checked):
+        index = TargetIndex(sig.graph)
+        alive = weakref.ref(index)
+        gc.disable()
+        try:
+            assert match_signature(sig, sig.graph, index=index)
+            del index
+            assert alive() is None
+        finally:
+            gc.enable()
+
+
+def test_decided_domains_still_face_repeated_inputs():
+    # XOR(a, a) with a the input R0; the broker would fold it to 0, so
+    # it is inserted as is.  Against XOR(R0, R1) every domain is one
+    # target, yet R0 is an input of the XOR only once
+    sig_graph = Dfg()
+    a = sig_graph.request_input("R0")
+    sig_graph._insert(NodeKind.XOR, (a, a))
+    sig = SignatureGraph(sig_graph)
+    target = Dfg()
+    op(target, NodeKind.XOR, target.request_input("R0"),
+       target.request_input("R1"))
+    twice = Dfg()
+    r0 = twice.request_input("R0")
+    twice._insert(NodeKind.XOR, (r0, r0))
+    for graph, count in ((target, 0), (twice, 1)):
+        assert decided(sig, graph)
+        got = match_signature(sig, graph)
+        assert len(got) == count
+        assert keys(got) == keys(brute_force_match(sig, graph))
+
+
+def test_decided_domains_still_face_clamp_labels():
+    # the two wildcards of one label are pinned to an ADD and, in
+    # `mixed`, an XOR: refinement decides every node, and only the
+    # label makes the mixed target fail
+    sig = dsl("x: ROTATE(OPAQUE<t>, OPAQUE<t>);")
+    results = []
+    for second in (NodeKind.ADD, NodeKind.XOR):
+        target = Dfg()
+        a, b, c, d = (target.request_input(n) for n in "ABCD")
+        op(target, NodeKind.ROTATE, op(target, NodeKind.ADD, a, b),
+           op(target, second, c, d))
+        assert decided(sig, target)
+        got = match_signature(sig, target)
+        assert keys(got) == keys(brute_force_match(sig, target))
+        results.append(got)
+    same, mixed = results
+    assert [m.clamp_bindings for m in same] == [{"t": NodeKind.ADD}]
+    assert mixed == []
+
+
+def test_decided_domains_respect_the_limit():
+    sig = dsl("x: ROTATE(OPAQUE, OPAQUE);")
+    target = Dfg()
+    op(target, NodeKind.ROTATE, target.request_input("A"),
+       target.request_input("B"))
+    assert decided(sig, target)
+    assert len(match_signature(sig, target, limit=1)) == 1
+    assert match_signature(sig, target, limit=0) == []
+    assert match_signature(sig, target, limit=-1) == []
+
+
+def test_refinement_next_to_singleton_domains_agrees_with_reference():
+    # a node that shrinks checks its neighbors that are down to one
+    # target in place rather than queueing them.  When one target XOR
+    # takes `both` R0 and R1, the signature's XOR keeps that candidate
+    # beside the singleton inputs; otherwise no XOR takes both, and
+    # refinement runs out next to them
+    sig_graph = Dfg()
+    xor = op(sig_graph, NodeKind.XOR, sig_graph.request_input("R0"),
+             sig_graph.request_input("R1"), sig_graph.request_opaque())
+    op(sig_graph, NodeKind.ROTATE, xor, sig_graph.request_constant(3))
+    sig = SignatureGraph(sig_graph)
+    outcomes = []
+    for both in (True, False):
+        target = Dfg()
+        r0, r1, r2 = (target.request_input(f"R{i}") for i in range(3))
+        three = target.request_constant(3)
+        op(target, NodeKind.ROTATE,
+           op(target, NodeKind.XOR, r0, r1 if both else r2,
+              target.request_input("K")), three)
+        op(target, NodeKind.ROTATE,
+           op(target, NodeKind.XOR, r1, r2, target.request_input("L")),
+           three)
+        index = TargetIndex(target)
+        cands = _initial_candidates(sig, index)
+        assert cands is not None
+        singles = sum(c.bit_count() == 1 for c in cands.values())
+        assert singles >= 3
+        if not _refine(_links(sig, index), cands):
+            cands = None
+        assert cands == reference_domains(sig, target, degree=True)
+        got = match_signature(sig, target)
+        assert keys(got) == keys(brute_force_match(sig, target))
+        outcomes.append((cands is not None, len(got)))
+    assert outcomes == [(True, 1), (False, 0)]
+
+
+def test_inputs_ok_agrees_with_the_counter_reference():
+    # random (signature node, target node, assignment) triples: inputs
+    # repeat on either side, commutative nodes are transient or not,
+    # and ordered operations compare by position
+    rng = random.Random(20261021)
+    kinds = [NodeKind.XOR, NodeKind.ADD, NodeKind.AND, NodeKind.OR,
+             NodeKind.MULT, NodeKind.OPAQUE, NodeKind.SUB, NodeKind.ROTATE,
+             NodeKind.SHL, NodeKind.LOAD]
+    seen = Counter()
+    for case in range(6000):
+        kind = rng.choice(kinds)
+        s = Node(50, kind, tuple(rng.choices(range(5), k=rng.randint(0, 4))))
+        t_inputs = tuple(rng.choices(range(100, 106),
+                                     k=max(0, len(s.inputs)
+                                           + rng.randint(-1, 2))))
+        t = Node(200, kind, t_inputs)
+        m = {r: (rng.choice(t_inputs) if t_inputs and rng.random() < 0.8
+                 else rng.randrange(100, 106)) for r in range(5)}
+        sig = SignatureGraph(Dfg(), {},
+                             {50} if rng.random() < 0.5 else set())
+        want = counter_inputs_ok(sig, 50, s, t, m)
+        assert _inputs_ok(sig, 50, s, t, m) == want, f"case {case}"
+        mapped = [m[i] for i in s.inputs]
+        repeated = len(set(mapped)) < len(mapped)
+        if kind in COMMUTATIVE or kind is NodeKind.OPAQUE:
+            as_sets = set(mapped) <= set(t.inputs)
+            seen["repeat", want] += repeated
+            seen["repeat fits as a set only"] += (
+                repeated and as_sets and not want
+                and len(t.inputs) >= len(s.inputs))
+            seen["wider", want] += len(t.inputs) > len(s.inputs)
+        else:
+            seen["ordered", want] += 1
+    for key in (("repeat", True), ("repeat", False),
+                "repeat fits as a set only", ("wider", True),
+                ("wider", False), ("ordered", True), ("ordered", False)):
+        assert seen[key] >= 20, (key, seen)
 
 
 def test_index_of_another_graph_is_rejected():
